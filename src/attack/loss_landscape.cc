@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "common/thread_pool.h"
@@ -459,10 +460,19 @@ std::vector<std::pair<Key, long double>> LossLandscape::Sweep(
 
 namespace {
 
-/// Gap ranges per parallel chunk. Fixed (not derived from the thread
-/// count) so the chunk boundaries — and therefore the reduction order —
-/// are identical for every pool size.
+/// Candidates per parallel argmax chunk. Fixed (not derived from the
+/// thread count) so the chunk boundaries — and therefore the reduction
+/// order and every counter — are identical for every pool size.
 constexpr std::int64_t kArgmaxChunkGaps = 2048;
+
+/// Gaps the insertion pre-pass exact-checks up front, in decreasing
+/// bound order, to seed the running best before its sweep.
+constexpr std::size_t kArgmaxTopK = 16;
+
+/// Smallest tier the batched gap-bound kernel takes. Measured: below
+/// ~tens of gaps (the RMI per-model regime) the staging pass costs more
+/// than the vector lanes recover.
+constexpr std::size_t kBatchMinTierGaps = 64;
 
 /// Whole-chain error-margin unit for the bound arithmetic: ~450x the
 /// IEEE double rounding unit (2^-52 ~ 2.2e-16). Each margin term below
@@ -481,9 +491,9 @@ inline double AbsD(double v) { return v < 0 ? -v : v; }
 }  // namespace
 
 /// Round-constant part of the admissible upper bound on the Theorem 1
-/// loss after inserting one key into the current n_ keys — the
-/// *uncached* per-round pre-pass (ArgmaxOptions::cache == false, or the
-/// fallback when the epoch context is not admissible).
+/// loss after inserting one key into the current n_ keys: the per-gap
+/// bound (Upper) and the per-tier range bound (UpperRange) of the gap
+/// candidate source.
 ///
 /// With x = kp - shift, c = count_less, S = suffix key-sum, the exact
 /// loss is  L = max(0, (VarY - Cov^2/VarX) / (n+1)^2)  where VarY is a
@@ -984,333 +994,420 @@ void LossLandscape::PoisonArgmaxScratchForTesting() const {
   std::fill(argmax_soa_.begin(), argmax_soa_.end(), dnan);
 }
 
-void LossLandscape::ScanGapRanges(std::size_t first, std::size_t end,
-                                  std::int64_t top_k,
-                                  const BoundCtx* bound_ctx,
-                                  const std::unordered_set<Key>* excluded,
-                                  Candidate* best, bool* have,
-                                  ArgmaxStats* stats) const {
-  // First-maximum-in-key-order semantics, order-independent form:
-  // strictly larger loss wins; an equal loss wins only with a smaller
-  // key. The exhaustive scan visits candidates in key order, where this
-  // reduces to the original strict > rule.
-  auto consider = [&](Key kp, Rank count_less, Int128 suffix_sum) {
-    if (excluded != nullptr && excluded->count(kp) != 0) return;
-    const long double loss = LossWithInsertion(kp, count_less, suffix_sum);
-    ++stats->exact_evals;
-    if (!*have || loss > best->loss ||
-        (loss == best->loss && kp < best->key)) {
-      best->key = kp;
-      best->loss = loss;
-      *have = true;
+// ---------------------------------------------------------------------
+// The argmax skeleton. Insertion and removal run one branch-and-bound
+// scan over a *candidate source*: groups of consecutive candidate units
+// in key order (gap tiers or key blocks). A source supplies the group
+// bound, the per-unit bounds of one group (-inf for a unit with no
+// admissible candidate) and the exact evaluation of one unit; the
+// skeleton owns the walk, the seeding, the pruning and the fan-out.
+// Sources are plain structs passed as template arguments, so the bound
+// kernels inline into the scan loops.
+// ---------------------------------------------------------------------
+
+/// The first-maximum-in-key-order rule in order-independent form: a
+/// strictly larger loss wins, an equal loss only with a smaller key.
+/// Every candidate and every chunk winner folds through it, so the
+/// winner does not depend on the visiting order.
+struct LossLandscape::ArgmaxFold {
+  Candidate best;
+  bool have = false;
+
+  void Offer(Key key, long double loss) {
+    if (!have || loss > best.loss || (loss == best.loss && key < best.key)) {
+      best.key = key;
+      best.loss = loss;
+      have = true;
     }
-  };
-  auto eval_gap = [&](std::size_t i) {
-    const GapRange& g = argmax_ranges_[i];
-    consider(g.lo, g.count_less, g.suffix_sum);
-    if (g.hi != g.lo) consider(g.hi, g.count_less, g.suffix_sum);
+  }
+};
+
+LossLandscape::ScanMode LossLandscape::PickScanMode(
+    const ArgmaxOptions& argmax, bool admissible, ArgmaxStats* stats) {
+  if (!argmax.prune) return ScanMode::kExhaustive;
+  if (!admissible) {
+    // Bound arithmetic not provably admissible on these aggregates:
+    // the exhaustive scan keeps the result exact.
+    stats->fallback_rounds = 1;
+    return ScanMode::kExhaustive;
+  }
+  return argmax.cache ? ScanMode::kTiered : ScanMode::kPrePass;
+}
+
+template <typename Src>
+LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
+                                                   ScanMode mode,
+                                                   ThreadPool* pool,
+                                                   ArgmaxStats* stats) const {
+  const std::size_t groups = src.num_groups();
+  const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
+                        src.total > kArgmaxChunkGaps;
+  // Chunks of consecutive groups holding >= kArgmaxChunkGaps units: a
+  // pure function of the structure, so the partition — and with it
+  // every counter and the reduced winner — is the same for every pool
+  // size. The serial scan is the one-chunk case.
+  auto& chunks = PrepareScratch(
+      &argmax_chunks_,
+      parallel ? static_cast<std::size_t>(src.total / kArgmaxChunkGaps) + 1
+               : 1);
+  if (parallel) {
+    std::size_t first = 0;
+    std::int64_t first_unit = 0;
+    std::int64_t acc = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      acc += src.Units(g);
+      if (acc >= kArgmaxChunkGaps) {
+        chunks.push_back(ArgmaxChunk{first, g + 1, first_unit});
+        first = g + 1;
+        first_unit += acc;
+        acc = 0;
+      }
+    }
+    if (first < groups) {
+      chunks.push_back(ArgmaxChunk{first, groups, first_unit});
+    }
+  } else {
+    chunks.push_back(ArgmaxChunk{0, groups, 0});
+  }
+  const std::size_t num_chunks = chunks.size();
+
+  // Per chunk, disjoint: the batched kernel's SoA staging lanes, and in
+  // the tiered scan a seed-group and a swept-group slice of unit bounds.
+  const std::size_t stride = src.MaxUnits();
+  if (mode != ScanMode::kExhaustive) {
+    EnsureScratchSize(&argmax_soa_, num_chunks * Src::kSoaLanes * stride,
+                      &scratch_reallocs_);
+  }
+  if (mode == ScanMode::kPrePass) {
+    const auto units = static_cast<std::size_t>(src.total);
+    EnsureScratchSize(&argmax_bounds_, units, &scratch_reallocs_);
+    EnsureScratchSize(&argmax_suffix_max_, units, &scratch_reallocs_);
+    EnsureScratchSize(&argmax_suffix_cnt_, units, &scratch_reallocs_);
+    if (Src::kSeeds > 1) {
+      EnsureScratchSize(&argmax_order_, units, &scratch_reallocs_);
+    }
+  } else if (mode == ScanMode::kTiered) {
+    EnsureScratchSize(&argmax_tier_bounds_, groups, &scratch_reallocs_);
+    EnsureScratchSize(&argmax_tier_suffix_max_, groups, &scratch_reallocs_);
+    EnsureScratchSize(&argmax_tier_suffix_cnt_, groups, &scratch_reallocs_);
+    EnsureScratchSize(&argmax_bounds_, num_chunks * 2 * stride,
+                      &scratch_reallocs_);
+  }
+
+  ArgmaxFold fold;
+  if (!parallel) {
+    ScanArgmaxChunk(src, mode, 0, &fold, stats);
+    return fold;
+  }
+  std::vector<ArgmaxFold> chunk_fold(num_chunks);
+  std::vector<ArgmaxStats> chunk_stats(num_chunks);
+  pool->ParallelFor(static_cast<std::int64_t>(num_chunks),
+                    [this, &src, mode, &chunk_fold,
+                     &chunk_stats](std::int64_t c) {
+                      const auto ci = static_cast<std::size_t>(c);
+                      ScanArgmaxChunk(src, mode, ci, &chunk_fold[ci],
+                                      &chunk_stats[ci]);
+                    });
+  // Chunk order is key order, so folding the chunk winners in order
+  // reproduces the serial scan's first maximum.
+  for (std::size_t ci = 0; ci < num_chunks; ++ci) {
+    stats->Add(chunk_stats[ci]);
+    if (chunk_fold[ci].have) {
+      fold.Offer(chunk_fold[ci].best.key, chunk_fold[ci].best.loss);
+    }
+  }
+  return fold;
+}
+
+template <typename Src>
+void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
+                                    std::size_t ci, ArgmaxFold* fold,
+                                    ArgmaxStats* stats) const {
+  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
+  const ArgmaxChunk chunk = argmax_chunks_[ci];
+  // A bound that cannot reach the running best prunes (>= keeps exact
+  // ties alive for the smaller-key rule).
+  auto below_best = [fold](double bound) {
+    return fold->have && bound < fold->best.loss;
   };
 
-  if (bound_ctx == nullptr) {
-    for (std::size_t i = first; i < end; ++i) eval_gap(i);
+  if (mode == ScanMode::kExhaustive) {
+    for (std::size_t g = chunk.first; g < chunk.end; ++g) {
+      const std::int64_t m = src.Units(g);
+      for (std::int64_t j = 0; j < m; ++j) src.Exact(g, j, fold, stats);
+    }
     return;
   }
+  const std::size_t stride = src.MaxUnits();
+  double* soa = argmax_soa_.data() + ci * Src::kSoaLanes * stride;
 
-  // Phase 1 — pre-pass: score every gap's non-excluded endpoints against
-  // the admissible bound; -inf marks gaps with no admissible candidate.
-  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
-  // Candidate keys are shifted in exact int64 then converted with one
-  // cheap cvt instruction (no 128-bit library call). Safe: FindOptimal
-  // falls back to the exhaustive scan when the domain span could
-  // overflow the subtraction.
-  for (std::size_t i = first; i < end; ++i) {
-    const GapRange& g = argmax_ranges_[i];
-    const double c1 = static_cast<double>(g.count_less + 1);
-    const double s = static_cast<double>(g.suffix_sum);
-    double bnd = kNoBound;
-    if (excluded == nullptr || excluded->count(g.lo) == 0) {
-      const double x = static_cast<double>(g.lo - shift_);
-      bnd = bound_ctx->Upper(x, c1, s);
-      ++stats->bound_evals;
+  if (mode == ScanMode::kPrePass) {
+    // Score every unit into the candidate-indexed scratch (chunks own
+    // disjoint slices of it).
+    double* bounds = argmax_bounds_.data();
+    const auto first = static_cast<std::size_t>(chunk.first_unit);
+    std::size_t end = first;
+    for (std::size_t g = chunk.first; g < chunk.end; ++g) {
+      src.UnitBounds(g, bounds + end, soa, stats);
+      end += static_cast<std::size_t>(src.Units(g));
     }
-    if (g.hi != g.lo &&
-        (excluded == nullptr || excluded->count(g.hi) == 0)) {
-      const double x = static_cast<double>(g.hi - shift_);
-      const double b2 = bound_ctx->Upper(x, c1, s);
-      ++stats->bound_evals;
-      if (b2 > bnd) bnd = b2;
+
+    // Seed the running best by exact-checking the highest bounds — the
+    // first maximum (std::max_element) for one seed, else the top kSeeds
+    // (nth_element's partition is unstable but deterministic for a given
+    // input) — and consume them so the sweep skips them.
+    auto seed = [&](std::size_t i) {
+      if (bounds[i] == kNoBound) return;
+      const std::size_t g = src.GroupOf(static_cast<std::int64_t>(i));
+      src.Exact(g, static_cast<std::int64_t>(i) - src.FirstUnit(g), fold,
+                stats);
+      bounds[i] = kNoBound;
+    };
+    const std::size_t k = std::min(end - first, Src::kSeeds);
+    if (k == 1) {
+      seed(static_cast<std::size_t>(
+          std::max_element(bounds + first, bounds + end) - bounds));
+    } else if (k > 1) {
+      const auto order = argmax_order_.begin();
+      std::iota(order + static_cast<std::ptrdiff_t>(first),
+                order + static_cast<std::ptrdiff_t>(end), first);
+      std::nth_element(order + static_cast<std::ptrdiff_t>(first),
+                       order + static_cast<std::ptrdiff_t>(first + k),
+                       order + static_cast<std::ptrdiff_t>(end),
+                       [bounds](std::size_t a, std::size_t b) {
+                         return bounds[a] > bounds[b];
+                       });
+      for (std::size_t j = first; j < first + k; ++j) seed(order[j]);
     }
-    argmax_bounds_[i] = bnd;
-  }
 
-  // Phase 2 — exact re-check of the top-K bounds to seed the running
-  // best. nth_element's partition is unstable, but the final Candidate
-  // is invariant: every gap that could still win is re-checked in phase
-  // 3 regardless of which ties landed in the top-K.
-  const std::size_t len = end - first;
-  const std::size_t k =
-      std::min(len, static_cast<std::size_t>(std::max<std::int64_t>(
-                        1, top_k)));
-  for (std::size_t i = first; i < end; ++i) argmax_order_[i] = i;
-  std::nth_element(argmax_order_.begin() + static_cast<std::ptrdiff_t>(first),
-                   argmax_order_.begin() +
-                       static_cast<std::ptrdiff_t>(first + k),
-                   argmax_order_.begin() + static_cast<std::ptrdiff_t>(end),
-                   [this](std::size_t a, std::size_t b) {
-                     return argmax_bounds_[a] > argmax_bounds_[b];
-                   });
-  for (std::size_t j = first; j < first + k; ++j) {
-    const std::size_t i = argmax_order_[j];
-    if (argmax_bounds_[i] == kNoBound) continue;
-    eval_gap(i);
-    argmax_bounds_[i] = kNoBound;  // Consumed: phase 3 skips it.
-  }
-
-  // Suffix max/count over the *unconsumed* bounds enable the
-  // branch-and-bound early exit and keep the pruned-gap counter exact.
-  {
+    // Suffix max/count over the unconsumed bounds: the early exit and
+    // the exact pruned-candidate count.
+    double* suffix_max = argmax_suffix_max_.data();
+    std::int64_t* suffix_cnt = argmax_suffix_cnt_.data();
     double run_max = kNoBound;
     std::int64_t run_cnt = 0;
     for (std::size_t i = end; i > first; --i) {
-      const double b = argmax_bounds_[i - 1];
+      const double b = bounds[i - 1];
       if (b != kNoBound) {
         ++run_cnt;
         if (b > run_max) run_max = b;
       }
-      argmax_suffix_max_[i - 1] = run_max;
-      argmax_suffix_cnt_[i - 1] = run_cnt;
+      suffix_max[i - 1] = run_max;
+      suffix_cnt[i - 1] = run_cnt;
     }
-  }
 
-  // Phase 3 — key-ordered sweep: a gap survives only while its bound can
-  // still reach the running best (>= keeps exact ties alive for the
-  // smaller-key rule); once every remaining bound is strictly below the
-  // best, the scan exits.
-  for (std::size_t i = first; i < end; ++i) {
-    if (*have && argmax_suffix_max_[i] < best->loss) {
-      stats->pruned_gaps += argmax_suffix_cnt_[i];
-      break;
-    }
-    const double b = argmax_bounds_[i];
-    if (b == kNoBound) continue;
-    if (*have && b < best->loss) {
-      ++stats->pruned_gaps;
-      continue;
-    }
-    eval_gap(i);
-  }
-}
-
-std::int64_t LossLandscape::TierInRangeCount(const TieredGaps::Tier& t,
-                                             Key lo_bound, Key hi_bound) {
-  if (t.lo >= lo_bound && t.hi <= hi_bound) {
-    return static_cast<std::int64_t>(t.gaps.size());
-  }
-  std::int64_t count = 0;
-  for (const TieredGaps::GapRec& g : t.gaps) {
-    if (g.hi >= lo_bound && g.lo <= hi_bound) ++count;
-  }
-  return count;
-}
-
-void LossLandscape::BatchTierBounds(const TieredGaps::Tier& t,
-                                    const BoundCtx& ctx, double* soa,
-                                    double* out, ArgmaxStats* stats) const {
-  // Staging pass: unpack the tier's gap records (AoS, with Int128
-  // bookkeeping) into flat double arrays. The exact counters match the
-  // scalar path: one score per endpoint, single-key gaps score once.
-  const std::size_t m = t.gaps.size();
-  double* x_lo = soa;
-  double* x_hi = soa + m;
-  double* c1 = soa + 2 * m;
-  double* s = soa + 3 * m;
-  std::int64_t evals = 0;
-  for (std::size_t gi = 0; gi < m; ++gi) {
-    const TieredGaps::GapRec& g = t.gaps[gi];
-    x_lo[gi] = static_cast<double>(g.lo - shift_);
-    x_hi[gi] = static_cast<double>(g.hi - shift_);
-    c1[gi] = static_cast<double>(g.cnt + t.delta_cnt + 1);
-    s[gi] = static_cast<double>(sum_k_ - (g.sum + t.delta_sum));
-    evals += g.hi != g.lo ? 2 : 1;
-  }
-  stats->bound_evals += evals;
-  // Kernel pass: pure double arithmetic over the SoA slices, branch
-  // free (BoundCtx::Upper is written as selects), so the loop
-  // auto-vectorizes. max(lo, hi) equals the scalar two-endpoint fold —
-  // for single-key gaps both operands are the same score.
-  const BoundCtx c = ctx;  // Local copy: no aliasing against the slices.
-  for (std::size_t gi = 0; gi < m; ++gi) {
-    const double b1 = c.Upper(x_lo[gi], c1[gi], s[gi]);
-    const double b2 = c.Upper(x_hi[gi], c1[gi], s[gi]);
-    out[gi] = b2 > b1 ? b2 : b1;
-  }
-}
-
-void LossLandscape::ScanTiersCached(std::size_t first, std::size_t end,
-                                    Key lo_bound, Key hi_bound,
-                                    const BoundCtx& ctx,
-                                    const std::unordered_set<Key>* excluded,
-                                    double* seed_bounds, double* scratch,
-                                    double* soa, Candidate* best,
-                                    bool* have, ArgmaxStats* stats) const {
-  const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
-  auto consider = [&](Key kp, Rank count_less, Int128 suffix_sum) {
-    if (excluded != nullptr && excluded->count(kp) != 0) return;
-    const long double loss = LossWithInsertion(kp, count_less, suffix_sum);
-    ++stats->exact_evals;
-    if (!*have || loss > best->loss ||
-        (loss == best->loss && kp < best->key)) {
-      best->key = kp;
-      best->loss = loss;
-      *have = true;
-    }
-  };
-  auto eval_rec = [&](const TieredGaps::GapRec& g,
-                      const TieredGaps::Tier& t) {
-    const Rank count_less = g.cnt + t.delta_cnt;
-    const Int128 suffix = sum_k_ - (g.sum + t.delta_sum);
-    consider(g.lo, count_less, suffix);
-    if (g.hi != g.lo) consider(g.hi, count_less, suffix);
-  };
-  // FindOptimal's scan ranges never clip a gap partially (range bounds
-  // are min/max +- 1 or the domain edges, and gaps are bounded by
-  // occupied keys), so membership is a whole-gap test.
-  auto in_range = [lo_bound, hi_bound](const TieredGaps::GapRec& g) {
-    return g.hi >= lo_bound && g.lo <= hi_bound;
-  };
-  auto count_at = [this](std::size_t pos) {
-    return argmax_tier_suffix_cnt_[pos] - argmax_tier_suffix_cnt_[pos + 1];
-  };
-  // Per-gap point bound over the non-excluded endpoints (the same
-  // pipeline the uncached pre-pass runs, against the same per-round
-  // context); -inf when no admissible candidate remains.
-  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
-  auto gap_bound = [&](const TieredGaps::GapRec& g,
-                       const TieredGaps::Tier& t) {
-    const double c1 = static_cast<double>(g.cnt + t.delta_cnt + 1);
-    const double s =
-        static_cast<double>(sum_k_ - (g.sum + t.delta_sum));
-    double bnd = kNoBound;
-    if (excluded == nullptr || excluded->count(g.lo) == 0) {
-      bnd = ctx.Upper(static_cast<double>(g.lo - shift_), c1, s);
-      ++stats->bound_evals;
-    }
-    if (g.hi != g.lo &&
-        (excluded == nullptr || excluded->count(g.hi) == 0)) {
-      const double b2 =
-          ctx.Upper(static_cast<double>(g.hi - shift_), c1, s);
-      ++stats->bound_evals;
-      if (b2 > bnd) bnd = b2;
-    }
-    return bnd;
-  };
-
-  // Seed the running best inside the tier with the highest box bound
-  // (the tiered analogue of the uncached top-K re-check): compute that
-  // tier's per-gap bounds once — staged into this chunk's slice of the
-  // engine-owned scratch so the sweep below reuses them — and
-  // exact-evaluate the best one. Strict > keeps the earliest tier/gap
-  // on ties — a pure function of the structure, so the seed is
-  // identical for every thread count.
-  std::size_t seed_pos = end;
-  double seed_box = -std::numeric_limits<double>::infinity();
-  for (std::size_t pos = first; pos < end; ++pos) {
-    if (count_at(pos) <= 0) continue;
-    const double bx = argmax_tier_bounds_[pos];
-    if (bx > seed_box) {
-      seed_box = bx;
-      seed_pos = pos;
-    }
-  }
-  // A tier strictly inside the scan range with no exclusions takes the
-  // batched SoA kernel; partially clipped edge tiers (at most two per
-  // scan), excluded-key scans, and small tiers (measured: the staging
-  // pass costs more than the vector lanes recover below ~tens of gaps,
-  // the RMI per-model regime) keep the scalar per-gap path.
-  constexpr std::size_t kBatchMinTierGaps = 64;
-  auto whole_tier = [&](const TieredGaps::Tier& t) {
-    return excluded == nullptr && t.gaps.size() >= kBatchMinTierGaps &&
-           t.lo >= lo_bound && t.hi <= hi_bound;
-  };
-  const TieredGaps::GapRec* seed_gap = nullptr;
-  if (seed_pos != end) {
-    const TieredGaps::Tier& t = tiers[argmax_tier_list_[seed_pos]];
-    double gap_best = -std::numeric_limits<double>::infinity();
-    if (whole_tier(t)) {
-      BatchTierBounds(t, ctx, soa, seed_bounds, stats);
-      for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
-        if (seed_bounds[gi] > gap_best) {
-          gap_best = seed_bounds[gi];
-          seed_gap = &t.gaps[gi];
+    // Key-ordered sweep; exits once every remaining bound is below the
+    // best.
+    std::size_t i = first;
+    for (std::size_t g = chunk.first; g < chunk.end; ++g) {
+      const std::int64_t m = src.Units(g);
+      for (std::int64_t j = 0; j < m; ++j, ++i) {
+        if (below_best(suffix_max[i])) {
+          stats->pruned_gaps += suffix_cnt[i];
+          return;
         }
-      }
-    } else {
-      for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
-        const TieredGaps::GapRec& g = t.gaps[gi];
-        if (!in_range(g)) continue;
-        const double b = gap_bound(g, t);
-        seed_bounds[gi] = b;
-        if (b > gap_best) {
-          gap_best = b;
-          seed_gap = &g;
+        const double b = bounds[i];
+        if (b == kNoBound) continue;
+        if (below_best(b)) {
+          ++stats->pruned_gaps;
+          continue;
         }
+        src.Exact(g, j, fold, stats);
       }
     }
-    if (seed_gap != nullptr) eval_rec(*seed_gap, t);
+    return;
   }
 
-  // Key-ordered sweep: skip whole tiers via their box bound, re-score
-  // only the survivors per gap, and exit once every remaining tier box
-  // is below the best. The suffix arrays are global (they extend past
-  // this chunk), so the exit test is conservative — sound for any chunk
-  // split. Accounting: a gap is "cached" when its tier's box (built
-  // from the incrementally maintained tier aggregates) dispositioned it
-  // without per-gap work, "invalidated" when its tier survived and it
-  // was re-scored individually.
-  for (std::size_t pos = first; pos < end; ++pos) {
-    if (*have && argmax_tier_suffix_max_[pos] < best->loss) {
-      const std::int64_t rest =
-          argmax_tier_suffix_cnt_[pos] - argmax_tier_suffix_cnt_[end];
-      stats->pruned_gaps += rest;
-      stats->cached_bounds += rest;
-      break;
+  // Tiered scan: one admissible bound per group, then per-unit bounds
+  // only inside groups whose bound reaches the running best.
+  // Accounting: a unit is "cached" when its group's bound disposed of
+  // it, "invalidated" when its group survived and it was scored alone.
+  double* seed_bounds = argmax_bounds_.data() + ci * 2 * stride;
+  double* scratch = seed_bounds + stride;
+  double* group_bound = argmax_tier_bounds_.data();
+  double* suffix_max = argmax_tier_suffix_max_.data();
+  std::int64_t* suffix_cnt = argmax_tier_suffix_cnt_.data();
+  for (std::size_t g = chunk.first; g < chunk.end; ++g) {
+    group_bound[g] = src.GroupBound(g);
+    ++stats->bound_evals;
+  }
+  {
+    double run_max = kNoBound;
+    std::int64_t run_cnt = 0;
+    for (std::size_t g = chunk.end; g > chunk.first; --g) {
+      run_cnt += src.Units(g - 1);
+      if (group_bound[g - 1] > run_max) run_max = group_bound[g - 1];
+      suffix_max[g - 1] = run_max;
+      suffix_cnt[g - 1] = run_cnt;
     }
-    const std::int64_t here = count_at(pos);
-    if (here <= 0) continue;
-    const TieredGaps::Tier& t = tiers[argmax_tier_list_[pos]];
-    if (*have && argmax_tier_bounds_[pos] < best->loss) {
-      stats->pruned_gaps += here;
-      stats->cached_bounds += here;
+  }
+
+  // Seed inside the group with the highest bound (the first maximum, so
+  // the seed is scan-order independent): its unit bounds are staged once
+  // for the sweep to reuse, and its best unit is exact-checked. Groups
+  // are never empty.
+  const auto seed_g = static_cast<std::size_t>(
+      std::max_element(group_bound + chunk.first, group_bound + chunk.end) -
+      group_bound);
+  if (seed_g != chunk.end) {
+    src.UnitBounds(seed_g, seed_bounds, soa, stats);
+    const std::int64_t seed_j =
+        std::max_element(seed_bounds, seed_bounds + src.Units(seed_g)) -
+        seed_bounds;
+    if (seed_bounds[seed_j] != kNoBound) {
+      src.Exact(seed_g, seed_j, fold, stats);
+      seed_bounds[seed_j] = kNoBound;
+    }
+  }
+
+  for (std::size_t g = chunk.first; g < chunk.end; ++g) {
+    if (below_best(suffix_max[g])) {
+      stats->pruned_gaps += suffix_cnt[g];
+      stats->cached_bounds += suffix_cnt[g];
+      return;
+    }
+    const std::int64_t m = src.Units(g);
+    if (below_best(group_bound[g])) {
+      stats->pruned_gaps += m;
+      stats->cached_bounds += m;
       continue;
     }
-    stats->invalidated_gaps += here;
-    const bool is_seed_tier = pos == seed_pos;
-    // Staged bounds: the seed tier's came from the seed phase; any
-    // other fully-in-range surviving tier re-scores through the batched
-    // SoA kernel into this chunk's scratch slice. Clipped edge tiers
-    // and excluded-key scans fall back to the scalar per-gap score.
-    const double* staged = nullptr;
-    if (is_seed_tier) {
-      staged = seed_bounds;
-    } else if (whole_tier(t)) {
-      BatchTierBounds(t, ctx, soa, scratch, stats);
-      staged = scratch;
+    stats->invalidated_gaps += m;
+    const double* unit_bound = seed_bounds;
+    if (g != seed_g) {
+      src.UnitBounds(g, scratch, soa, stats);
+      unit_bound = scratch;
     }
-    for (std::size_t gi = 0; gi < t.gaps.size(); ++gi) {
-      const TieredGaps::GapRec& g = t.gaps[gi];
-      if (g.hi < lo_bound) continue;
-      if (g.lo > hi_bound) break;
-      if (&g == seed_gap) continue;  // Already evaluated by the seed.
-      const double b = staged != nullptr ? staged[gi] : gap_bound(g, t);
-      if (b == kNoBound) continue;   // Every endpoint excluded.
-      if (*have && b < best->loss) {
+    for (std::int64_t j = 0; j < m; ++j) {
+      const double b = unit_bound[j];
+      if (b == kNoBound) continue;  // Consumed seed, or no candidate.
+      if (below_best(b)) {
         ++stats->pruned_gaps;
         continue;
       }
-      eval_rec(g, t);
+      src.Exact(g, j, fold, stats);
     }
   }
 }
+
+/// Insertion candidates. A unit is one maximal gap inside the scan
+/// range, offered at its two endpoints (Theorem 2) minus the excluded
+/// keys. A group is the in-range slice of one tier; for the pre-pass,
+/// whose chunks are fixed runs of kArgmaxChunkGaps gaps, the slices are
+/// also cut where such a run ends.
+struct LossLandscape::GapSource {
+  static constexpr std::size_t kSeeds = kArgmaxTopK;
+  static constexpr std::size_t kSoaLanes = 4;
+
+  const LossLandscape& ll;
+  const std::vector<GapGroup>& groups;
+  const BoundCtx& ctx;
+  const std::unordered_set<Key>* excluded;
+  std::int64_t total;  // Units over all groups.
+
+  std::size_t num_groups() const { return groups.size(); }
+  std::int64_t Units(std::size_t g) const {
+    return static_cast<std::int64_t>(groups[g].end - groups[g].begin);
+  }
+  std::int64_t FirstUnit(std::size_t g) const { return groups[g].first_unit; }
+  std::size_t GroupOf(std::int64_t unit) const {
+    const auto it = std::upper_bound(
+        groups.begin(), groups.end(), unit,
+        [](std::int64_t u, const GapGroup& grp) { return u < grp.first_unit; });
+    return static_cast<std::size_t>(it - groups.begin()) - 1;
+  }
+  std::size_t MaxUnits() const {
+    return static_cast<std::size_t>(ll.gaps_.tier_cap());
+  }
+  const TieredGaps::Tier& TierOf(std::size_t g) const {
+    return ll.gaps_.tiers()[groups[g].tier];
+  }
+  bool Excluded(Key k) const {
+    return excluded != nullptr && excluded->count(k) != 0;
+  }
+
+  /// The covariance left-tangent bound over the whole tier's key range
+  /// (BoundCtx::UpperRange), from the tier's first gap record. It
+  /// ignores `excluded`: an excluded endpoint only makes it an
+  /// admissible over-estimate.
+  double GroupBound(std::size_t g) const {
+    const TieredGaps::Tier& t = TierOf(g);
+    const TieredGaps::GapRec& front = t.gaps.front();
+    return ctx.UpperRange(static_cast<double>(t.lo - ll.shift_),
+                          static_cast<double>(t.hi - t.lo),
+                          static_cast<double>(front.cnt + t.delta_cnt + 1),
+                          static_cast<double>(front.sum + t.delta_sum));
+  }
+
+  /// max(bound(lo), bound(hi)) per gap over its non-excluded endpoints.
+  /// A whole tier of at least kBatchMinTierGaps gaps with no exclusions
+  /// takes the batched kernel: a scalar pass
+  /// unpacks the gap records into \p soa, then the branch-free
+  /// BoundCtx::Upper auto-vectorizes over it. Both paths give the same
+  /// values and count the same bound_evals.
+  void UnitBounds(std::size_t g, double* out, double* soa,
+                  ArgmaxStats* stats) const {
+    const TieredGaps::Tier& t = TierOf(g);
+    const TieredGaps::GapRec* gaps = t.gaps.data() + groups[g].begin;
+    const auto m = static_cast<std::size_t>(Units(g));
+    const Key shift = ll.shift_;
+    const Int128 sum_k = ll.sum_k_;
+    if (excluded == nullptr && m >= kBatchMinTierGaps && m == t.gaps.size()) {
+      double* x_lo = soa;
+      double* x_hi = soa + m;
+      double* c1 = soa + 2 * m;
+      double* s = soa + 3 * m;
+      std::int64_t evals = 0;
+      for (std::size_t j = 0; j < m; ++j) {
+        x_lo[j] = static_cast<double>(gaps[j].lo - shift);
+        x_hi[j] = static_cast<double>(gaps[j].hi - shift);
+        c1[j] = static_cast<double>(gaps[j].cnt + t.delta_cnt + 1);
+        s[j] = static_cast<double>(sum_k - (gaps[j].sum + t.delta_sum));
+        evals += gaps[j].hi != gaps[j].lo ? 2 : 1;
+      }
+      stats->bound_evals += evals;
+      const BoundCtx c = ctx;  // Local copy: no aliasing against the lanes.
+      for (std::size_t j = 0; j < m; ++j) {
+        const double b1 = c.Upper(x_lo[j], c1[j], s[j]);
+        const double b2 = c.Upper(x_hi[j], c1[j], s[j]);
+        out[j] = b2 > b1 ? b2 : b1;
+      }
+      return;
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      const TieredGaps::GapRec& r = gaps[j];
+      const double c1 = static_cast<double>(r.cnt + t.delta_cnt + 1);
+      const double s = static_cast<double>(sum_k - (r.sum + t.delta_sum));
+      double bnd = -std::numeric_limits<double>::infinity();
+      if (!Excluded(r.lo)) {
+        bnd = ctx.Upper(static_cast<double>(r.lo - shift), c1, s);
+        ++stats->bound_evals;
+      }
+      if (r.hi != r.lo && !Excluded(r.hi)) {
+        const double b2 = ctx.Upper(static_cast<double>(r.hi - shift), c1, s);
+        ++stats->bound_evals;
+        if (b2 > bnd) bnd = b2;
+      }
+      out[j] = bnd;
+    }
+  }
+
+  void Exact(std::size_t g, std::int64_t j, ArgmaxFold* fold,
+             ArgmaxStats* stats) const {
+    const TieredGaps::Tier& t = TierOf(g);
+    const TieredGaps::GapRec& r =
+        t.gaps[groups[g].begin + static_cast<std::size_t>(j)];
+    const Rank count_less = r.cnt + t.delta_cnt;
+    const Int128 suffix = ll.sum_k_ - (r.sum + t.delta_sum);
+    auto offer = [&](Key kp) {
+      if (Excluded(kp)) return;
+      fold->Offer(kp, ll.LossWithInsertion(kp, count_less, suffix));
+      ++stats->exact_evals;
+    };
+    offer(r.lo);
+    if (r.hi != r.lo) offer(r.hi);
+  }
+};
 
 Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
     bool interior_only, const std::unordered_set<Key>* excluded,
@@ -1348,257 +1445,54 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
     ThreadPool* pool, const ArgmaxOptions& argmax, ArgmaxStats* stats) const {
   ArgmaxStats local;
   local.rounds = 1;
+  const BoundCtx ctx = BoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
+  const ScanMode mode =
+      PickScanMode(argmax, PruneDomainOk() && ctx.usable, &local);
 
-  const bool domain_ok = PruneDomainOk();
-  bool prune = argmax.prune;
-
-  Candidate best;
-  bool have = false;
-
-  // -------------------------------------------------------------------
-  // Tiered incremental path: one box bound per tier from the per-tier
-  // aggregates the splices maintain, per-gap re-scoring only for the
-  // tiers whose box survives — O(sqrt(G) + survivors) bound work per
-  // round.
-  // -------------------------------------------------------------------
-  BoundCtx ctx;
-  bool use_cache = prune && argmax.cache && domain_ok;
-  if (use_cache) {
-    ctx = BoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
-    // Context not provably admissible: fall back to the per-round
-    // pre-pass below (which may itself fall back to exhaustive).
-    if (!ctx.usable) use_cache = false;
-  }
-  if (use_cache) {
-    const Key lo_bound = interior_only ? min_key_ + 1 : domain_.lo;
-    const Key hi_bound = interior_only ? max_key_ - 1 : domain_.hi;
-    const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
-    auto& list = PrepareScratch(&argmax_tier_list_, tiers.size());
-    if (lo_bound <= hi_bound) {
-      for (std::size_t ti = gaps_.FirstTierNotBelow(lo_bound);
-           ti < tiers.size() && tiers[ti].lo <= hi_bound; ++ti) {
-        list.push_back(ti);
-      }
-    }
-    const std::size_t num_listed = list.size();
-    EnsureScratchSize(&argmax_tier_bounds_, num_listed + 1,
-                      &scratch_reallocs_);
-    EnsureScratchSize(&argmax_tier_suffix_max_, num_listed + 1,
-                      &scratch_reallocs_);
-    EnsureScratchSize(&argmax_tier_suffix_cnt_, num_listed + 1,
-                      &scratch_reallocs_);
-
-    // Range pass (serial, O(#tiers)): one admissible bound per tier
-    // over every candidate in its key range, from the covariance
-    // left-tangent at the tier's first gap — O(1) reads off the tier.
-    std::int64_t total_in_range = 0;
-    for (std::size_t pos = 0; pos < num_listed; ++pos) {
-      const TieredGaps::Tier& t = tiers[list[pos]];
-      const std::int64_t in_range = TierInRangeCount(t, lo_bound, hi_bound);
-      double tier_bound = -std::numeric_limits<double>::infinity();
-      if (in_range > 0) {
-        const double c1l =
-            static_cast<double>(t.gaps.front().cnt + t.delta_cnt + 1);
-        const double pl =
-            static_cast<double>(t.gaps.front().sum + t.delta_sum);
-        tier_bound = ctx.UpperRange(static_cast<double>(t.lo - shift_),
-                                    static_cast<double>(t.hi - t.lo),
-                                    c1l, pl);
-        ++local.bound_evals;
-      }
-      argmax_tier_bounds_[pos] = tier_bound;
-      argmax_tier_suffix_cnt_[pos] = in_range;
-      argmax_tier_suffix_max_[pos] = tier_bound;
-      total_in_range += in_range;
-    }
-    argmax_tier_suffix_cnt_[num_listed] = 0;
-    argmax_tier_suffix_max_[num_listed] =
-        -std::numeric_limits<double>::infinity();
-    for (std::size_t pos = num_listed; pos > 0; --pos) {
-      argmax_tier_suffix_cnt_[pos - 1] += argmax_tier_suffix_cnt_[pos];
-      if (argmax_tier_suffix_max_[pos] > argmax_tier_suffix_max_[pos - 1]) {
-        argmax_tier_suffix_max_[pos - 1] = argmax_tier_suffix_max_[pos];
-      }
-    }
-
-    const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                          total_in_range > kArgmaxChunkGaps;
-    // Per chunk: a seed-staging slice plus a batch-scratch slice of
-    // argmax_bounds_ (2 x tier_cap) and a 4 x tier_cap SoA slice for
-    // the batched kernel's staging arrays.
-    const std::size_t seed_stride =
-        static_cast<std::size_t>(gaps_.tier_cap());
-    if (!parallel) {
-      EnsureScratchSize(&argmax_bounds_, 2 * seed_stride,
-                        &scratch_reallocs_);
-      EnsureScratchSize(&argmax_soa_, 4 * seed_stride, &scratch_reallocs_);
-      ScanTiersCached(0, num_listed, lo_bound, hi_bound, ctx, excluded,
-                      argmax_bounds_.data(),
-                      argmax_bounds_.data() + seed_stride,
-                      argmax_soa_.data(), &best, &have, &local);
-    } else {
-      // Consecutive tier groups of ~kArgmaxChunkGaps in-range gaps: a
-      // pure function of the structure, so the chunk layout — and the
-      // chunk-order reduction below — is identical for every pool size.
-      auto& chunks = PrepareScratch(
-          &argmax_chunk_tiers_,
-          static_cast<std::size_t>(total_in_range / kArgmaxChunkGaps) + 1);
-      std::size_t start = 0;
-      std::int64_t acc = 0;
-      for (std::size_t pos = 0; pos < num_listed; ++pos) {
-        acc += argmax_tier_suffix_cnt_[pos] - argmax_tier_suffix_cnt_[pos + 1];
-        if (acc >= kArgmaxChunkGaps) {
-          chunks.emplace_back(start, pos + 1);
-          start = pos + 1;
-          acc = 0;
-        }
-      }
-      if (start < num_listed) chunks.emplace_back(start, num_listed);
-      const std::size_t num_chunks = chunks.size();
-      // Per-chunk disjoint slices of the shared scratch (seed staging,
-      // batch scratch, SoA staging), so workers never race.
-      EnsureScratchSize(&argmax_bounds_, num_chunks * 2 * seed_stride,
-                        &scratch_reallocs_);
-      EnsureScratchSize(&argmax_soa_, num_chunks * 4 * seed_stride,
-                        &scratch_reallocs_);
-      std::vector<Candidate> chunk_best(num_chunks);
-      std::vector<char> chunk_have(num_chunks, 0);
-      std::vector<ArgmaxStats> chunk_stats(num_chunks);
-      pool->ParallelFor(
-          static_cast<std::int64_t>(num_chunks),
-          [this, excluded, lo_bound, hi_bound, seed_stride, &ctx, &chunks,
-           &chunk_best, &chunk_have, &chunk_stats](std::int64_t c) {
-            const auto ci = static_cast<std::size_t>(c);
-            bool chunk_found = false;
-            double* slice = argmax_bounds_.data() + ci * 2 * seed_stride;
-            ScanTiersCached(chunks[ci].first, chunks[ci].second, lo_bound,
-                            hi_bound, ctx, excluded, slice,
-                            slice + seed_stride,
-                            argmax_soa_.data() + ci * 4 * seed_stride,
-                            &chunk_best[ci], &chunk_found,
-                            &chunk_stats[ci]);
-            chunk_have[ci] = chunk_found ? 1 : 0;
-          });
-      for (std::size_t ci = 0; ci < num_chunks; ++ci) {
-        // Chunk workers never touch rounds/fallback, so Add folds in
-        // exactly the per-chunk scan counters.
-        local.Add(chunk_stats[ci]);
-        if (!chunk_have[ci]) continue;
-        const Candidate& cb = chunk_best[ci];
-        if (!have || cb.loss > best.loss) {
-          best = cb;
-          have = true;
-        }
-      }
-    }
-  } else {
-    // -------------------------------------------------------------------
-    // Uncached paths: per-round full pre-pass (prune) or exhaustive scan.
-    // -------------------------------------------------------------------
-    if (prune) {
-      ctx = BoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
-      if (!domain_ok) ctx.usable = false;
-      if (!ctx.usable) {
-        // Bound arithmetic not provably admissible on these aggregates:
-        // fall back to the exhaustive scan so the result stays exact.
-        prune = false;
-        local.fallback_rounds = 1;
-      }
-    }
-    const BoundCtx* bound_ctx = prune ? &ctx : nullptr;
-
-    // The materialized paths pay one O(G) traversal into the engine-owned
-    // scratch (no per-round allocation once the capacity plateaus); the
-    // plain serial exhaustive scan keeps the original zero-materialization
-    // loop.
-    const bool parallel =
-        pool != nullptr && pool->num_threads() > 1 &&
-        gaps_.size() > kArgmaxChunkGaps;
-    if (parallel || prune) {
-      auto& ranges = PrepareScratch(&argmax_ranges_,
-                                    static_cast<std::size_t>(gaps_.size()));
-      ForEachGap(interior_only, [this, &ranges](Key lo, Key hi, Rank count_less,
-                                                Int128 prefix_sum) {
-        ranges.push_back(GapRange{lo, hi, count_less, sum_k_ - prefix_sum});
-      });
-      const std::size_t m = ranges.size();
-      if (prune) {
-        EnsureScratchSize(&argmax_bounds_, m, &scratch_reallocs_);
-        EnsureScratchSize(&argmax_suffix_max_, m, &scratch_reallocs_);
-        EnsureScratchSize(&argmax_suffix_cnt_, m, &scratch_reallocs_);
-        EnsureScratchSize(&argmax_order_, m, &scratch_reallocs_);
-      }
-      if (parallel) {
-        // Fixed-size chunks reduced in chunk (= key) order with a strict >
-        // comparison: bit-identical to the serial scan for every thread
-        // count. With pruning on, each chunk runs the pruned pipeline
-        // against its chunk-local best — per-chunk bound filtering — which
-        // only depends on the chunk's own content, so the counters are
-        // thread-count independent too (but differ from the serial scan's,
-        // whose single running best prunes across the whole range).
-        const std::int64_t num_chunks =
-            (static_cast<std::int64_t>(m) + kArgmaxChunkGaps - 1) /
-            kArgmaxChunkGaps;
-        std::vector<Candidate> chunk_best(static_cast<std::size_t>(num_chunks));
-        std::vector<char> chunk_have(static_cast<std::size_t>(num_chunks), 0);
-        std::vector<ArgmaxStats> chunk_stats(
-            static_cast<std::size_t>(num_chunks));
-        pool->ParallelFor(num_chunks, [this, excluded, m, bound_ctx, &argmax,
-                                       &chunk_best, &chunk_have,
-                                       &chunk_stats](std::int64_t c) {
-          const std::size_t first = static_cast<std::size_t>(c) *
-                                    static_cast<std::size_t>(kArgmaxChunkGaps);
-          const std::size_t end = std::min(
-              m, first + static_cast<std::size_t>(kArgmaxChunkGaps));
-          bool chunk_found = false;
-          ScanGapRanges(first, end, argmax.top_k, bound_ctx, excluded,
-                        &chunk_best[static_cast<std::size_t>(c)], &chunk_found,
-                        &chunk_stats[static_cast<std::size_t>(c)]);
-          chunk_have[static_cast<std::size_t>(c)] = chunk_found ? 1 : 0;
-        });
-        for (std::int64_t c = 0; c < num_chunks; ++c) {
-          const auto ci = static_cast<std::size_t>(c);
-          local.Add(chunk_stats[ci]);
-          if (!chunk_have[ci]) continue;
-          const Candidate& cb = chunk_best[ci];
-          if (!have || cb.loss > best.loss) {
-            best = cb;
-            have = true;
-          }
-        }
-      } else {
-        ScanGapRanges(0, m, argmax.top_k, bound_ctx, excluded, &best, &have,
-                      &local);
-      }
-    } else {
-      ForEachGap(interior_only,
-                 [this, excluded, &best, &have, &local](
-                     Key lo, Key hi, Rank count_less, Int128 prefix_sum) {
-                   const Int128 suffix = sum_k_ - prefix_sum;
-                   auto consider = [&](Key kp) {
-                     if (excluded != nullptr && excluded->count(kp) != 0) {
-                       return;
-                     }
-                     const long double loss =
-                         LossWithInsertion(kp, count_less, suffix);
-                     ++local.exact_evals;
-                     if (!have || loss > best.loss) {
-                       best.key = kp;
-                       best.loss = loss;
-                       have = true;
-                     }
-                   };
-                   consider(lo);
-                   if (hi != lo) consider(hi);
-                 });
+  // The scan range's gaps as groups: each tier's in-range slice, cut
+  // for the pre-pass at every kArgmaxChunkGaps-th gap so its parallel
+  // chunks are fixed runs of that many gaps, whatever the tier layout.
+  // The range ends at an occupied key or a domain edge, so it never
+  // clips a gap and membership is a whole-gap test; only the edge tiers
+  // have out-of-range gaps.
+  const bool cut = mode == ScanMode::kPrePass;
+  const Key lo = interior_only ? min_key_ + 1 : domain_.lo;
+  const Key hi = interior_only ? max_key_ - 1 : domain_.hi;
+  const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
+  auto& groups = PrepareScratch(
+      &argmax_gap_groups_,
+      tiers.size() + (cut ? static_cast<std::size_t>(gaps_.size() /
+                                                     kArgmaxChunkGaps)
+                          : 0));
+  std::int64_t units = 0;
+  for (std::size_t ti = lo <= hi ? gaps_.FirstTierNotBelow(lo) : tiers.size();
+       ti < tiers.size() && tiers[ti].lo <= hi; ++ti) {
+    const std::vector<TieredGaps::GapRec>& gs = tiers[ti].gaps;
+    std::size_t b = 0;
+    std::size_t e = gs.size();
+    while (b < e && gs[b].hi < lo) ++b;
+    while (e > b && gs[e - 1].lo > hi) --e;
+    while (b < e) {
+      const std::size_t ge =
+          cut ? std::min(e, b + static_cast<std::size_t>(
+                                    kArgmaxChunkGaps -
+                                    units % kArgmaxChunkGaps))
+              : e;
+      groups.push_back(GapGroup{ti, b, ge, units});
+      units += static_cast<std::int64_t>(ge - b);
+      b = ge;
     }
   }
+
+  const ArgmaxFold fold =
+      RunArgmax(GapSource{*this, groups, ctx, excluded, units}, mode, pool,
+                &local);
   if (stats != nullptr) stats->Add(local);
-  if (!have) {
+  if (!fold.have) {
     return Status::ResourceExhausted(
         "no unoccupied candidate keys in the poisoning range");
   }
-  return best;
+  return fold.best;
 }
 
 void LossLandscape::EnsureRemovalSoa() const {
@@ -1638,313 +1532,104 @@ long double LossLandscape::LossWithoutKey(Key key, std::int64_t rank,
                       SumRankSquares(n1), sum_xy);
 }
 
-void LossLandscape::ScanRemovalBlocks(std::size_t bfirst, std::size_t bend,
-                                      const RemovalBoundCtx* bound_ctx,
-                                      const std::unordered_set<Key>* allowed,
-                                      Candidate* best, bool* have,
-                                      ArgmaxStats* stats) const {
-  // First-maximum-in-key-order semantics in order-independent form, as
-  // in the insertion scans: strictly larger loss wins, an equal loss
-  // only with a smaller key. (rank, sa) come off the block's exact
-  // tier-relative reconstruction, so the loss matches the flat
-  // layout's bit-for-bit.
-  auto consider = [&](Key kp, std::int64_t rank, std::int64_t sa) {
-    const long double loss = LossWithoutKey(kp, rank, sa);
-    ++stats->exact_evals;
-    if (!*have || loss > best->loss ||
-        (loss == best->loss && kp < best->key)) {
-      best->key = kp;
-      best->loss = loss;
-      *have = true;
-    }
-  };
+/// Removal candidates. A unit is one stored key (skipped when outside
+/// `allowed`), a group one block of the removal SoA: the commit
+/// structure doubles as the bound tier structure, so the next round's
+/// block bounds see every commit exactly.
+struct LossLandscape::KeySource {
+  static constexpr std::size_t kSeeds = 1;
+  static constexpr std::size_t kSoaLanes = 0;  // Blocks are SoA already.
 
-  if (bound_ctx == nullptr) {
-    for (std::size_t b = bfirst; b < bend; ++b) {
-      const RemovalSoa::Block& blk = rem_soa_.block(b);
-      for (std::size_t j = 0; j < blk.keys.size(); ++j) {
-        if (allowed != nullptr && allowed->count(blk.keys[j]) == 0) continue;
-        consider(blk.keys[j],
-                 blk.count_before + static_cast<std::int64_t>(j) + 1,
-                 blk.sa_local[j] + blk.sum_after);
-      }
-    }
-    return;
+  const LossLandscape& ll;
+  const RemovalBoundCtx& ctx;
+  const std::unordered_set<Key>* allowed;
+  std::int64_t total;  // Stored keys.
+
+  const RemovalSoa::Block& block(std::size_t b) const {
+    return ll.rem_soa_.block(b);
+  }
+  std::size_t num_groups() const { return ll.rem_soa_.block_count(); }
+  std::int64_t Units(std::size_t b) const {
+    return static_cast<std::int64_t>(block(b).keys.size());
+  }
+  std::int64_t FirstUnit(std::size_t b) const {
+    return block(b).count_before;
+  }
+  std::size_t GroupOf(std::int64_t unit) const {
+    return ll.rem_soa_.BlockOfIndex(unit);
+  }
+  std::size_t MaxUnits() const {
+    return static_cast<std::size_t>(ll.rem_soa_.block_cap());
+  }
+  bool Allowed(Key k) const {
+    return allowed == nullptr || allowed->count(k) != 0;
   }
 
-  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
-  const std::size_t first =
-      static_cast<std::size_t>(rem_soa_.block(bfirst).count_before);
-  const std::size_t end =
-      bend < rem_soa_.block_count()
-          ? static_cast<std::size_t>(rem_soa_.block(bend).count_before)
-          : static_cast<std::size_t>(rem_soa_.size());
+  /// The chord bound (RemovalBoundCtx::UpperBlock) from the block's
+  /// exact endpoint records; the last key's global suffix is sum_after
+  /// itself, since sa_local.back() == 0. It ignores `allowed`: an
+  /// admissible over-estimate, the per-key bounds enforce it.
+  double GroupBound(std::size_t b) const {
+    const RemovalSoa::Block& blk = block(b);
+    const Key shift = ll.shift_;
+    const double x_first = static_cast<double>(blk.keys.front() - shift);
+    const double r_first = static_cast<double>(blk.count_before + 1);
+    const double sa_first =
+        static_cast<double>(blk.sa_local.front() + blk.sum_after);
+    if (blk.keys.size() == 1) return ctx.Upper(x_first, r_first, sa_first);
+    return ctx.UpperBlock(
+        x_first, r_first, sa_first,
+        static_cast<double>(blk.keys.back() - shift),
+        static_cast<double>(blk.count_before +
+                            static_cast<std::int64_t>(blk.keys.size())),
+        static_cast<double>(blk.sum_after));
+  }
 
-  // Phase 1 — batched bound pass, block by block: each block is a
-  // structure-of-arrays slice (sorted keys, block-local suffix sums),
-  // and the tier-relative reconstruction adds two loop-invariant
-  // scalars, so the branch-free double kernel still auto-vectorizes.
-  // Bounds land in the globally candidate-indexed scratch
-  // argmax_bounds_[count_before + j] (disjoint across parallel chunks).
-  for (std::size_t b = bfirst; b < bend; ++b) {
-    const RemovalSoa::Block& blk = rem_soa_.block(b);
+  /// Per-key bounds straight off the block arrays; the rank/suffix
+  /// reconstruction adds two loop-invariant scalars, so the allowed-free
+  /// loop auto-vectorizes.
+  void UnitBounds(std::size_t b, double* out, double* /*soa*/,
+                  ArgmaxStats* stats) const {
+    const RemovalSoa::Block& blk = block(b);
     const Key* keys = blk.keys.data();
     const std::int64_t* sal = blk.sa_local.data();
     const std::size_t m = blk.keys.size();
     const double rank0 = static_cast<double>(blk.count_before + 1);
     const double sa_off = static_cast<double>(blk.sum_after);
-    double* bounds = argmax_bounds_.data() + blk.count_before;
-    const Key shift = shift_;
+    const Key shift = ll.shift_;
     if (allowed == nullptr) {
-      const RemovalBoundCtx ctx = *bound_ctx;  // Local copy: no aliasing.
-      for (std::size_t j = 0; j < m; ++j) {
-        bounds[j] = ctx.Upper(static_cast<double>(keys[j] - shift),
-                              rank0 + static_cast<double>(j),
-                              static_cast<double>(sal[j]) + sa_off);
-      }
-      stats->bound_evals += static_cast<std::int64_t>(m);
-    } else {
-      for (std::size_t j = 0; j < m; ++j) {
-        if (allowed->count(keys[j]) == 0) {
-          bounds[j] = kNoBound;
-          continue;
-        }
-        bounds[j] = bound_ctx->Upper(static_cast<double>(keys[j] - shift),
-                                     rank0 + static_cast<double>(j),
-                                     static_cast<double>(sal[j]) + sa_off);
-        ++stats->bound_evals;
-      }
-    }
-  }
-
-  // Phase 2 — exact seed at the highest bound (the removal analogue of
-  // the tiered scan's per-tier seed; strict > keeps the smallest key on
-  // ties, so the seed is scan-order independent).
-  std::size_t seed = end;
-  double seed_bound = kNoBound;
-  for (std::size_t i = first; i < end; ++i) {
-    if (argmax_bounds_[i] > seed_bound) {
-      seed_bound = argmax_bounds_[i];
-      seed = i;
-    }
-  }
-  if (seed != end) {
-    const std::size_t sb =
-        rem_soa_.BlockOfIndex(static_cast<std::int64_t>(seed));
-    const RemovalSoa::Block& blk = rem_soa_.block(sb);
-    const std::size_t j = seed - static_cast<std::size_t>(blk.count_before);
-    consider(blk.keys[j], blk.count_before + static_cast<std::int64_t>(j) + 1,
-             blk.sa_local[j] + blk.sum_after);
-    argmax_bounds_[seed] = kNoBound;  // Consumed: phase 3 skips it.
-  }
-
-  // Suffix max/count over the unconsumed bounds for the early exit and
-  // the exact pruned-candidate accounting.
-  {
-    double run_max = kNoBound;
-    std::int64_t run_cnt = 0;
-    for (std::size_t i = end; i > first; --i) {
-      const double b = argmax_bounds_[i - 1];
-      if (b != kNoBound) {
-        ++run_cnt;
-        if (b > run_max) run_max = b;
-      }
-      argmax_suffix_max_[i - 1] = run_max;
-      argmax_suffix_cnt_[i - 1] = run_cnt;
-    }
-  }
-
-  // Phase 3 — key-ordered sweep with branch-and-bound pruning, walked
-  // blockwise so the exact reconstruction reads straight off the block
-  // records (>= keeps exact ties alive for the smaller-key rule).
-  for (std::size_t b = bfirst; b < bend; ++b) {
-    const RemovalSoa::Block& blk = rem_soa_.block(b);
-    bool stop = false;
-    for (std::size_t j = 0; j < blk.keys.size(); ++j) {
-      const std::size_t i = static_cast<std::size_t>(blk.count_before) + j;
-      if (*have && argmax_suffix_max_[i] < best->loss) {
-        stats->pruned_gaps += argmax_suffix_cnt_[i];
-        stop = true;
-        break;
-      }
-      const double kb = argmax_bounds_[i];
-      if (kb == kNoBound) continue;
-      if (*have && kb < best->loss) {
-        ++stats->pruned_gaps;
-        continue;
-      }
-      consider(blk.keys[j],
-               blk.count_before + static_cast<std::int64_t>(j) + 1,
-               blk.sa_local[j] + blk.sum_after);
-    }
-    if (stop) break;
-  }
-}
-
-void LossLandscape::ScanRemovalBlocksTiered(
-    std::size_t bfirst, std::size_t bend, const RemovalBoundCtx& ctx,
-    const std::unordered_set<Key>* allowed, double* seed_bounds,
-    double* scratch, Candidate* best, bool* have, ArgmaxStats* stats) const {
-  auto consider = [&](Key kp, std::int64_t rank, std::int64_t sa) {
-    const long double loss = LossWithoutKey(kp, rank, sa);
-    ++stats->exact_evals;
-    if (!*have || loss > best->loss ||
-        (loss == best->loss && kp < best->key)) {
-      best->key = kp;
-      best->loss = loss;
-      *have = true;
-    }
-  };
-  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
-  const Key shift = shift_;
-
-  // Per-key bound pass over one storage block into the block-local
-  // staging slice \p out; the allowed-free path is the batched SoA
-  // kernel (the rank/suffix reconstruction adds two loop-invariant
-  // scalars, so it still auto-vectorizes).
-  auto block_key_bounds = [&](const RemovalSoa::Block& blk, double* out) {
-    const Key* keys = blk.keys.data();
-    const std::int64_t* sal = blk.sa_local.data();
-    const std::size_t m = blk.keys.size();
-    const double rank0 = static_cast<double>(blk.count_before + 1);
-    const double sa_off = static_cast<double>(blk.sum_after);
-    if (allowed == nullptr) {
-      const RemovalBoundCtx c = ctx;
+      const RemovalBoundCtx c = ctx;  // Local copy: no aliasing.
       for (std::size_t j = 0; j < m; ++j) {
         out[j] = c.Upper(static_cast<double>(keys[j] - shift),
                          rank0 + static_cast<double>(j),
                          static_cast<double>(sal[j]) + sa_off);
       }
       stats->bound_evals += static_cast<std::int64_t>(m);
-    } else {
-      for (std::size_t j = 0; j < m; ++j) {
-        if (allowed->count(keys[j]) == 0) {
-          out[j] = kNoBound;
-          continue;
-        }
-        out[j] = ctx.Upper(static_cast<double>(keys[j] - shift),
-                           rank0 + static_cast<double>(j),
-                           static_cast<double>(sal[j]) + sa_off);
-        ++stats->bound_evals;
-      }
-    }
-  };
-
-  // Phase 1 — one chord bound per storage block, from its exact
-  // endpoint records: rank/suffix reconstruct in O(1) from the
-  // directory scalars (the last key's global suffix is sum_after
-  // itself, since sa_local.back() == 0 by construction). Block bounds
-  // ignore `allowed` — an admissible over-estimate; the per-key phase
-  // enforces the restriction. The commit structure and the bound tier
-  // structure are the same blocks.
-  for (std::size_t b = bfirst; b < bend; ++b) {
-    const RemovalSoa::Block& blk = rem_soa_.block(b);
-    const std::size_t m = blk.keys.size();
-    double bound;
-    if (m == 1) {
-      bound = ctx.Upper(
-          static_cast<double>(blk.keys.front() - shift),
-          static_cast<double>(blk.count_before + 1),
-          static_cast<double>(blk.sa_local.front() + blk.sum_after));
-    } else {
-      bound = ctx.UpperBlock(
-          static_cast<double>(blk.keys.front() - shift),
-          static_cast<double>(blk.count_before + 1),
-          static_cast<double>(blk.sa_local.front() + blk.sum_after),
-          static_cast<double>(blk.keys.back() - shift),
-          static_cast<double>(blk.count_before +
-                              static_cast<std::int64_t>(m)),
-          static_cast<double>(blk.sum_after));
-    }
-    ++stats->bound_evals;
-    argmax_tier_bounds_[b] = bound;
-  }
-  // Chunk-local suffix max/count over the blocks (no shared sentinel:
-  // parallel chunks own disjoint [bfirst, bend) slices).
-  {
-    double run_max = kNoBound;
-    std::int64_t run_cnt = 0;
-    for (std::size_t b = bend; b > bfirst; --b) {
-      run_cnt +=
-          static_cast<std::int64_t>(rem_soa_.block(b - 1).keys.size());
-      if (argmax_tier_bounds_[b - 1] > run_max) {
-        run_max = argmax_tier_bounds_[b - 1];
-      }
-      argmax_tier_suffix_max_[b - 1] = run_max;
-      argmax_tier_suffix_cnt_[b - 1] = run_cnt;
-    }
-  }
-
-  // Phase 2 — seed: per-key bounds inside the highest-chord block, one
-  // exact evaluation of its best candidate (strict > keeps the earliest
-  // block/key on ties — scan-order independent). The staged bounds stay
-  // in seed_bounds so the sweep never scores the block twice.
-  std::size_t seed_b = bend;
-  double seed_bound = kNoBound;
-  for (std::size_t b = bfirst; b < bend; ++b) {
-    if (argmax_tier_bounds_[b] > seed_bound) {
-      seed_bound = argmax_tier_bounds_[b];
-      seed_b = b;
-    }
-  }
-  if (seed_b != bend) {
-    const RemovalSoa::Block& blk = rem_soa_.block(seed_b);
-    const std::size_t m = blk.keys.size();
-    block_key_bounds(blk, seed_bounds);
-    std::size_t seed_j = m;
-    double key_bound = kNoBound;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (seed_bounds[j] > key_bound) {
-        key_bound = seed_bounds[j];
-        seed_j = j;
-      }
-    }
-    if (seed_j != m) {
-      consider(blk.keys[seed_j],
-               blk.count_before + static_cast<std::int64_t>(seed_j) + 1,
-               blk.sa_local[seed_j] + blk.sum_after);
-      seed_bounds[seed_j] = kNoBound;  // Consumed.
-    }
-  }
-
-  // Phase 3 — key-ordered sweep: skip whole blocks via their chord
-  // bound, re-score survivors per key, exit once every remaining block
-  // is below the best. Accounting mirrors the insertion tier cache:
-  // a candidate is "cached" when its block's bound dispositioned it,
-  // "invalidated" when its block survived and it was scored per key.
-  for (std::size_t b = bfirst; b < bend; ++b) {
-    if (*have && argmax_tier_suffix_max_[b] < best->loss) {
-      stats->pruned_gaps += argmax_tier_suffix_cnt_[b];
-      stats->cached_bounds += argmax_tier_suffix_cnt_[b];
-      break;
-    }
-    const RemovalSoa::Block& blk = rem_soa_.block(b);
-    const std::size_t m = blk.keys.size();
-    const std::int64_t size = static_cast<std::int64_t>(m);
-    if (*have && argmax_tier_bounds_[b] < best->loss) {
-      stats->pruned_gaps += size;
-      stats->cached_bounds += size;
-      continue;
-    }
-    stats->invalidated_gaps += size;
-    const double* kb = seed_bounds;
-    if (b != seed_b) {
-      block_key_bounds(blk, scratch);
-      kb = scratch;
+      return;
     }
     for (std::size_t j = 0; j < m; ++j) {
-      const double bj = kb[j];
-      if (bj == kNoBound) continue;  // Consumed seed or not allowed.
-      if (*have && bj < best->loss) {
-        ++stats->pruned_gaps;
+      if (!Allowed(keys[j])) {
+        out[j] = -std::numeric_limits<double>::infinity();
         continue;
       }
-      consider(blk.keys[j],
-               blk.count_before + static_cast<std::int64_t>(j) + 1,
-               blk.sa_local[j] + blk.sum_after);
+      out[j] = ctx.Upper(static_cast<double>(keys[j] - shift),
+                         rank0 + static_cast<double>(j),
+                         static_cast<double>(sal[j]) + sa_off);
+      ++stats->bound_evals;
     }
   }
-}
+
+  void Exact(std::size_t b, std::int64_t j, ArgmaxFold* fold,
+             ArgmaxStats* stats) const {
+    const RemovalSoa::Block& blk = block(b);
+    const auto jj = static_cast<std::size_t>(j);
+    const Key kp = blk.keys[jj];
+    if (!Allowed(kp)) return;
+    fold->Offer(kp, ll.LossWithoutKey(kp, blk.count_before + j + 1,
+                                      blk.sa_local[jj] + blk.sum_after));
+    ++stats->exact_evals;
+  }
+};
 
 Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
     const std::unordered_set<Key>* allowed, ThreadPool* pool,
@@ -1958,10 +1643,7 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
   }
   EnsureRemovalSoa();
 
-  Candidate best;
-  bool have = false;
-  const std::size_t nblocks = rem_soa_.block_count();
-
+  ArgmaxFold fold;
   if (!rem_soa_.with_sa()) {
     // Wide-domain fallback: exact Int128 reverse block walk
     // accumulating the suffix key-sums on the fly (the
@@ -1969,7 +1651,7 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
     if (argmax.prune) local.fallback_rounds = 1;
     Int128 sa = 0;
     const std::int64_t n1 = n_ - 1;
-    for (std::size_t b = nblocks; b > 0; --b) {
+    for (std::size_t b = rem_soa_.block_count(); b > 0; --b) {
       const RemovalSoa::Block& blk = rem_soa_.block(b - 1);
       for (std::size_t j = blk.keys.size(); j > 0; --j) {
         const Key kp = blk.keys[j - 1];
@@ -1978,125 +1660,27 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
           const Int128 rank =
               blk.count_before + static_cast<std::int64_t>(j);
           const Int128 sum_xy = sum_kr_ - x * rank - sa;
-          const long double loss =
-              LossFromSums(n1, sum_k_ - x, sum_k2_ - x * x, SumRanks(n1),
-                           SumRankSquares(n1), sum_xy);
+          fold.Offer(kp, LossFromSums(n1, sum_k_ - x, sum_k2_ - x * x,
+                                      SumRanks(n1), SumRankSquares(n1),
+                                      sum_xy));
           ++local.exact_evals;
-          if (!have || loss > best.loss ||
-              (loss == best.loss && kp < best.key)) {
-            best.key = kp;
-            best.loss = loss;
-            have = true;
-          }
         }
         sa += x;
       }
     }
   } else {
-    RemovalBoundCtx ctx;
-    bool prune = argmax.prune;
-    if (prune) {
-      ctx = RemovalBoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
-      if (!ctx.usable) {
-        prune = false;
-        local.fallback_rounds = 1;
-      }
-    }
-    const RemovalBoundCtx* bctx = prune ? &ctx : nullptr;
-    const bool tiered = prune && argmax.cache;
-    const std::size_t m = static_cast<std::size_t>(rem_soa_.size());
-
-    // Chunking: consecutive storage blocks grouped to at least
-    // kArgmaxChunkGaps candidates each — a pure function of the block
-    // structure, so the chunk list (and with it every counter and the
-    // reduced winner) is thread-count independent.
-    auto& chunks = PrepareScratch(&argmax_chunk_tiers_, nblocks);
-    {
-      std::size_t cb = 0;
-      std::int64_t acc = 0;
-      for (std::size_t b = 0; b < nblocks; ++b) {
-        acc += static_cast<std::int64_t>(rem_soa_.block(b).keys.size());
-        if (acc >= kArgmaxChunkGaps) {
-          chunks.emplace_back(cb, b + 1);
-          cb = b + 1;
-          acc = 0;
-        }
-      }
-      if (cb < nblocks) chunks.emplace_back(cb, nblocks);
-    }
-    const std::size_t num_chunks = chunks.size();
-    const std::size_t cap = static_cast<std::size_t>(rem_soa_.block_cap());
-
-    if (prune && !tiered) {
-      EnsureScratchSize(&argmax_bounds_, m, &scratch_reallocs_);
-      EnsureScratchSize(&argmax_suffix_max_, m, &scratch_reallocs_);
-      EnsureScratchSize(&argmax_suffix_cnt_, m, &scratch_reallocs_);
-    }
-    if (tiered) {
-      EnsureScratchSize(&argmax_tier_bounds_, nblocks + 1,
-                        &scratch_reallocs_);
-      EnsureScratchSize(&argmax_tier_suffix_max_, nblocks + 1,
-                        &scratch_reallocs_);
-      EnsureScratchSize(&argmax_tier_suffix_cnt_, nblocks + 1,
-                        &scratch_reallocs_);
-      // Per-chunk staging: two block_cap-sized slices (seed block +
-      // swept block) of argmax_bounds_ per chunk, disjoint across
-      // chunks — O(sqrt(n)) doubles per chunk instead of O(n).
-      EnsureScratchSize(&argmax_bounds_, num_chunks * 2 * cap,
-                        &scratch_reallocs_);
-    }
-    const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                          static_cast<std::int64_t>(m) > kArgmaxChunkGaps &&
-                          num_chunks > 1;
-    if (parallel) {
-      // Block-aligned candidate chunks with chunk-local pruning,
-      // reduced in chunk (= key) order with a strict > comparison:
-      // bit-identical to the serial scan for every thread count.
-      std::vector<Candidate> chunk_best(num_chunks);
-      std::vector<char> chunk_have(num_chunks, 0);
-      std::vector<ArgmaxStats> chunk_stats(num_chunks);
-      pool->ParallelFor(
-          static_cast<std::int64_t>(num_chunks),
-          [this, allowed, bctx, tiered, cap, &chunks, &chunk_best,
-           &chunk_have, &chunk_stats](std::int64_t c) {
-            const auto ci = static_cast<std::size_t>(c);
-            bool chunk_found = false;
-            if (tiered) {
-              double* stage = argmax_bounds_.data() + ci * 2 * cap;
-              ScanRemovalBlocksTiered(chunks[ci].first, chunks[ci].second,
-                                      *bctx, allowed, stage, stage + cap,
-                                      &chunk_best[ci], &chunk_found,
-                                      &chunk_stats[ci]);
-            } else {
-              ScanRemovalBlocks(chunks[ci].first, chunks[ci].second, bctx,
-                                allowed, &chunk_best[ci], &chunk_found,
-                                &chunk_stats[ci]);
-            }
-            chunk_have[ci] = chunk_found ? 1 : 0;
-          });
-      for (std::size_t ci = 0; ci < num_chunks; ++ci) {
-        local.Add(chunk_stats[ci]);
-        if (!chunk_have[ci]) continue;
-        const Candidate& cb = chunk_best[ci];
-        if (!have || cb.loss > best.loss) {
-          best = cb;
-          have = true;
-        }
-      }
-    } else if (tiered) {
-      double* stage = argmax_bounds_.data();
-      ScanRemovalBlocksTiered(0, nblocks, ctx, allowed, stage, stage + cap,
-                              &best, &have, &local);
-    } else {
-      ScanRemovalBlocks(0, nblocks, bctx, allowed, &best, &have, &local);
-    }
+    const RemovalBoundCtx ctx =
+        RemovalBoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
+    const ScanMode mode = PickScanMode(argmax, ctx.usable, &local);
+    fold = RunArgmax(KeySource{*this, ctx, allowed, rem_soa_.size()}, mode,
+                     pool, &local);
   }
   if (stats != nullptr) stats->Add(local);
-  if (!have) {
+  if (!fold.have) {
     return Status::ResourceExhausted(
         "no allowed removal candidate among the stored keys");
   }
-  return best;
+  return fold.best;
 }
 
 Key LossLandscape::SecondMinKey() const {

@@ -34,20 +34,24 @@
 //    variance/covariance numerators are shift-invariant in exact
 //    integer arithmetic.
 //
-// The per-round argmax over gap endpoints additionally supports a
-// branch-and-bound pruned scan (ArgmaxOptions): every gap is scored
-// against an admissible double-precision upper bound on the exact loss,
-// survivors are re-checked exactly, and the scan exits once every
-// remaining bound is below the running best. The bound provably
-// dominates the exact evaluation (directed-rounding error margins), so
-// the selected candidate stays bit-identical to the exhaustive scan.
+// Both per-round argmaxes — the insertion that most raises the loss
+// (FindOptimal) and the removal that does (FindOptimalRemoval) — run
+// one branch-and-bound skeleton over a *candidate source*: gap tiers
+// for insertion, key blocks of the removal SoA for removal. A source
+// supplies an admissible double-precision bound per group, per-unit
+// bounds and the exact evaluation; the skeleton seeds a running best,
+// skips every group or unit whose bound is below it, re-checks the
+// survivors exactly, and exits once every remaining bound is below the
+// best. The bounds provably dominate the exact evaluation
+// (directed-rounding error margins), so the selected candidate stays
+// bit-identical to the exhaustive scan.
 //
-// With ArgmaxOptions::cache (the default) the pre-pass is *tiered and
-// incremental*: instead of re-scoring all O(G) gaps every round, the
-// scan first scores one admissible range bound per ~sqrt(G)-gap tier,
-// computed in O(1) from the tier's key range and its first gap's exact
-// (count, prefix-sum) record — state the tiered gap structure maintains
-// incrementally across InsertKey splices. The range bound exploits two
+// With ArgmaxOptions::cache (the default) the scan is *tiered*: instead
+// of re-scoring all O(G) gaps every round, it first scores one
+// admissible range bound per ~sqrt(G)-gap tier, computed in O(1) from
+// the tier's key range and its first gap's exact (count, prefix-sum)
+// record — state the tiered gap structure maintains incrementally
+// across InsertKey splices. The range bound exploits two
 // structural facts: along the candidate axis the covariance numerator
 // is piecewise linear with non-decreasing slopes (n1*c1 - sumY grows as
 // candidates pass keys) and upward jumps at key crossings, so it lies
@@ -62,9 +66,8 @@
 // and plain interval arithmetic over a tier's input box decorrelates
 // Cov from VarX badly enough to never skip a tier; the tangent form is
 // what makes a tier-granular bound tight.) Whenever a bound context is
-// not provably admissible the round transparently falls back — tiered
-// scan to the per-round full pre-pass, and that to the exhaustive scan
-// — so results are bit-identical in every mode.
+// not provably admissible the round falls back to the exhaustive scan,
+// so results are bit-identical in every mode.
 
 #ifndef LISPOISON_ATTACK_LOSS_LANDSCAPE_H_
 #define LISPOISON_ATTACK_LOSS_LANDSCAPE_H_
@@ -202,41 +205,37 @@ class LossLandscape {
     /// the serial scan).
     bool prune = true;
 
-    /// Tiered incremental pre-pass: score one admissible range bound
-    /// per tier (a covariance left-tangent over the tier's key range,
-    /// O(1) from the incrementally maintained tier state) and re-score
-    /// gaps individually only inside tiers whose range bound reaches
-    /// the running best — O(sqrt(G) + survivors) bound work per round
-    /// instead of O(G). Bit-identical results either way; off restores
-    /// the per-round full pre-pass of PR 3. Only meaningful with
+    /// Tiered scan: score one admissible bound per group (gap tier or
+    /// key block, O(1) from the incrementally maintained state) and
+    /// re-score units individually only inside groups whose bound
+    /// reaches the running best — O(sqrt(G) + survivors) bound work per
+    /// round instead of O(G). Bit-identical results either way; off
+    /// runs the per-round pre-pass that scores every unit, seeded by
+    /// exact re-checks of its highest bounds. Only meaningful with
     /// prune.
     bool cache = true;
-
-    /// Gaps exactly re-checked up front (in decreasing bound order) to
-    /// seed the running best before the branch-and-bound sweep. Used by
-    /// the uncached pre-pass only; the tiered scan seeds from the
-    /// per-tier bound maxima instead.
-    std::int64_t top_k = 16;
   };
 
   /// \brief Evaluation-count counters accumulated across FindOptimal
-  /// calls. Counter values depend on the scan layout (serial vs
-  /// chunked) — only the returned Candidate is invariant. Coherence
-  /// invariant of the tiered (cache) scan, asserted by the stateful
-  /// property harness: per round, cached_bounds + invalidated_gaps
-  /// equals the number of gaps in the scanned range.
+  /// and FindOptimalRemoval calls. A "gap" below is a candidate unit:
+  /// a gap for insertion, a stored key for removal. Counter values
+  /// depend on the scan layout (serial vs chunked) — only the returned
+  /// Candidate is invariant. Coherence invariant of the tiered (cache)
+  /// scan, asserted by the stateful property harness: per round,
+  /// cached_bounds + invalidated_gaps equals the number of units in the
+  /// scanned range.
   struct ArgmaxStats {
-    std::int64_t rounds = 0;          ///< FindOptimal calls.
+    std::int64_t rounds = 0;          ///< Argmax calls.
     std::int64_t exact_evals = 0;     ///< Exact Theorem 1 evaluations.
     std::int64_t bound_evals = 0;     ///< Double-precision bound scores
-                                      ///< (per-gap and per-tier).
-    std::int64_t pruned_gaps = 0;     ///< Gaps never evaluated exactly.
-    std::int64_t cached_bounds = 0;   ///< Gaps dispositioned by their
-                                      ///< tier's range bound alone (no
-                                      ///< per-gap re-scoring).
-    std::int64_t invalidated_gaps = 0;///< Gaps re-scored individually
-                                      ///< (their tier survived the
-                                      ///< range filter this round).
+                                      ///< (per-unit and per-group).
+    std::int64_t pruned_gaps = 0;     ///< Units never evaluated exactly.
+    std::int64_t cached_bounds = 0;   ///< Units disposed of by their
+                                      ///< group's bound alone (no
+                                      ///< per-unit re-scoring).
+    std::int64_t invalidated_gaps = 0;///< Units re-scored individually
+                                      ///< (their group survived the
+                                      ///< group filter this round).
     std::int64_t fallback_rounds = 0; ///< Pruning requested but the bound
                                       ///< context was not admissible.
     void Add(const ArgmaxStats& o) {
@@ -255,33 +254,36 @@ class LossLandscape {
   /// exists. With \p excluded non-null, keys in that set are skipped
   /// (the RMI attack's globally occupied poisons).
   ///
-  /// With \p pool non-null and running >1 worker, the gap scan fans out
-  /// in fixed-size chunks of gap ranges whose local argmaxes reduce in
-  /// chunk order with a strict > comparison — exactly the serial scan's
-  /// first-maximum-in-key-order semantics, so the selected candidate is
-  /// bit-identical for every thread count (greedy_differential_test).
+  /// With \p pool non-null and running >1 worker, the scan fans out in
+  /// chunks of consecutive groups holding at least kArgmaxChunkGaps
+  /// gaps, whose local winners fold in chunk order — exactly the serial
+  /// scan's first-maximum-in-key-order semantics, so the selected
+  /// candidate is bit-identical for every thread count
+  /// (greedy_differential_test).
   ///
-  /// With \p argmax.prune (the default) each scan runs the pruned
-  /// pipeline, and with \p argmax.cache runs it *tiered*: one range
-  /// bound per tier (a covariance left-tangent over the tier's key
-  /// range), seeding the running best inside the tier with the highest
+  /// The scan is the argmax skeleton over the gap source: a unit is a
+  /// gap, offered at its non-excluded endpoints; a group is the
+  /// in-range part of one tier (for the pre-pass, whose chunks are
+  /// fixed runs of gaps, also cut where such a run ends).
+  /// With \p argmax.prune (the default) and \p argmax.cache it runs
+  /// *tiered*: one range bound per tier (a covariance left-tangent over
+  /// the tier's key range), a seed inside the tier with the highest
   /// range bound, then a key-ordered sweep that skips whole tiers whose
   /// range bound is below the best, re-scores only the surviving tiers
-  /// per gap, and exits once the suffix maximum over the remaining tier
-  /// bounds is below the best. Tier range bounds ignore \p excluded
-  /// (an excluded endpoint only makes them admissible over-estimates;
-  /// the per-gap phase skips excluded endpoints exactly). Whenever a bound context is not provably admissible the
-  /// call falls back — tiered scan to per-round pre-pass, pre-pass to
-  /// exhaustive — so the result is bit-identical in every mode
-  /// (argmax_pruning_test, the stateful property harness). \p stats,
-  /// when non-null, is accumulated into, never reset.
+  /// per gap, and exits once every remaining tier bound is below the
+  /// best. Tier range bounds ignore \p excluded (an excluded endpoint
+  /// only makes them admissible over-estimates; the per-gap bounds skip
+  /// excluded endpoints exactly). Whenever the bound context is not
+  /// provably admissible the call falls back to the exhaustive scan,
+  /// so the result is bit-identical in every mode (argmax_pruning_test,
+  /// the stateful property harness). \p stats, when non-null, is
+  /// accumulated into, never reset.
   ///
-  /// Scratch note: the gap-range/bound buffers are engine-owned and
-  /// reused across rounds (no O(G) allocation per call), and the cached
-  /// scan writes bound repairs into the tier structure, which makes
-  /// concurrent FindOptimal calls on the *same* landscape racy; every
-  /// attack drives one landscape from one thread at a time and fans out
-  /// only via \p pool.
+  /// Scratch note: the bound buffers are engine-owned and reused across
+  /// rounds (no O(G) allocation per call), which makes concurrent
+  /// FindOptimal calls on the *same* landscape racy; every attack drives
+  /// one landscape from one thread at a time and fans out only via
+  /// \p pool.
   Result<Candidate> FindOptimal(bool interior_only,
                                 const std::unordered_set<Key>* excluded,
                                 ThreadPool* pool,
@@ -301,31 +303,26 @@ class LossLandscape {
   /// and modification attacks). With \p allowed non-null only keys in
   /// that set are candidates (the adversary's deletable records).
   ///
-  /// Runs over a lazily built, incrementally maintained *block-local*
-  /// structure-of-arrays view of the current keys (~sqrt(n)-key blocks
-  /// of sorted keys + block-local int64 suffix key-sums, with
-  /// tier-relative rank/suffix directory scalars — RemovalSoa) — no
-  /// per-round landscape reconstruction, and O(sqrt(n)) maintenance
-  /// per commit instead of the flat layout's O(n) suffix pass. With
-  /// \p argmax.prune each candidate is scored by an admissible
-  /// double-precision bound (the removal dual of the insertion bound,
-  /// same component-magnitude margins) and only survivors are
-  /// evaluated exactly; with \p argmax.cache (the default) the scan is
-  /// additionally *tiered*: one admissible chord bound per storage
-  /// block (the covariance is concave piecewise-linear along the
-  /// stored keys, so the chord through a block's exact endpoint
-  /// records minorizes it), and only blocks whose bound reaches the
-  /// running best are re-scored per key through the batched
-  /// auto-vectorizable SoA kernel — O(sqrt(n) + survivors) bound work
-  /// per round instead of O(n). The commit structure and the bound
-  /// tier structure are the same blocks, so the next round's chords
-  /// see every commit exactly. With \p argmax.prune off every
-  /// candidate is evaluated exactly. Results are bit-identical to an index-ordered
-  /// exhaustive scan (ties break toward the smaller key) for every
-  /// prune/cache/thread setting; whenever the bound arithmetic is not
-  /// provably admissible (wide domains) the round transparently falls
-  /// back to the exact Int128 scan. Counter contract of the tiered
-  /// scan: cached_bounds + invalidated_gaps == candidates in the scan.
+  /// The same argmax skeleton as FindOptimal over the key source: a
+  /// unit is a stored key, a group one block of a lazily built,
+  /// incrementally maintained *block-local* structure-of-arrays view of
+  /// the current keys (~sqrt(n)-key blocks of sorted keys + block-local
+  /// int64 suffix key-sums, with tier-relative rank/suffix directory
+  /// scalars — RemovalSoa). No per-round landscape reconstruction, and
+  /// O(sqrt(n)) maintenance per commit. Per-key bounds are the removal
+  /// dual of the insertion bound (same component-magnitude margins),
+  /// computed by a batched auto-vectorizable kernel over the block
+  /// arrays; the tiered scan's group bound is a chord per block (the
+  /// covariance is concave piecewise-linear along the stored keys, so
+  /// the chord through a block's exact endpoint records minorizes it).
+  /// The commit structure and the bound tier structure are the same
+  /// blocks, so the next round's chords see every commit exactly.
+  /// Results are bit-identical to an index-ordered exhaustive scan
+  /// (ties break toward the smaller key) for every prune/cache/thread
+  /// setting; whenever the bound arithmetic is not provably admissible
+  /// (wide domains) the round falls back to an exact Int128 scan.
+  /// Counter contract of the tiered scan: cached_bounds +
+  /// invalidated_gaps == candidates in the scan.
   ///
   /// Fails with FailedPrecondition when fewer than three keys are
   /// stored and ResourceExhausted when \p allowed rules every key out.
@@ -466,16 +463,7 @@ class LossLandscape {
   /// Builds / refreshes the block-local removal-candidate SoA.
   void EnsureRemovalSoa() const;
 
-  /// One materialized candidate gap range: everything the per-candidate
-  /// loss evaluation needs, captured in key order.
-  struct GapRange {
-    Key lo = 0;
-    Key hi = 0;
-    Rank count_less = 0;
-    Int128 suffix_sum = 0;
-  };
-
-  /// Per-round double-precision bound context (the uncached pre-pass);
+  /// Per-round double-precision bound context of the insertion argmax;
   /// defined in the .cc.
   struct BoundCtx;
 
@@ -483,76 +471,54 @@ class LossLandscape {
   /// surviving keys); defined in the .cc.
   struct RemovalBoundCtx;
 
-  /// Removal-scan worker over the SoA storage blocks [bfirst, bend):
-  /// batched per-key bound pass into the global candidate-indexed
-  /// scratch (bound_ctx non-null), max-bound exact seed, key-ordered
-  /// pruned sweep with suffix-max early exit — or the plain exhaustive
-  /// block walk when bound_ctx is null. Folds the winner into
-  /// *best/*have via the first-maximum-in-key-order rule.
-  void ScanRemovalBlocks(std::size_t bfirst, std::size_t bend,
-                         const RemovalBoundCtx* bound_ctx,
-                         const std::unordered_set<Key>* allowed,
-                         Candidate* best, bool* have,
-                         ArgmaxStats* stats) const;
+  /// The argmax skeleton's two candidate sources — gap tiers and key
+  /// blocks — and its running best; defined in the .cc.
+  struct GapSource;
+  struct KeySource;
+  struct ArgmaxFold;
 
-  /// Tiered removal-scan worker (ArgmaxOptions::cache): one admissible
-  /// chord bound per SoA storage block (along the stored keys the
-  /// covariance is concave piecewise-linear, so the chord through a
-  /// block's exact endpoint records minorizes it), per-key re-scoring
-  /// only inside blocks whose chord bound reaches the running best —
-  /// O(sqrt(n) + survivors) bound work per round instead of O(n). The
-  /// commit structure and the bound tier structure are the same blocks,
-  /// so removal commits touch exactly the state the next round's chords
-  /// read. \p seed_bounds / \p scratch are this chunk's disjoint
-  /// block_cap-sized staging slices of argmax_bounds_. Counter contract
-  /// mirrors the insertion tier cache: cached_bounds + invalidated_gaps
-  /// == candidates in the scan.
-  void ScanRemovalBlocksTiered(std::size_t bfirst, std::size_t bend,
-                               const RemovalBoundCtx& ctx,
-                               const std::unordered_set<Key>* allowed,
-                               double* seed_bounds, double* scratch,
-                               Candidate* best, bool* have,
-                               ArgmaxStats* stats) const;
+  /// One gap-source group: in-range gaps [begin, end) of tier `tier`,
+  /// whose first gap is candidate unit `first_unit` of the scan.
+  struct GapGroup {
+    std::size_t tier = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::int64_t first_unit = 0;
+  };
 
-  /// Scans argmax_ranges_[first, end) for the best candidate using the
-  /// exhaustive loop (bound_ctx == nullptr) or the uncached pruned
-  /// pipeline, and folds the winner into *best/*have via the
-  /// first-maximum-in-key-order tie rule. Accumulates counters into
-  /// *stats.
-  void ScanGapRanges(std::size_t first, std::size_t end, std::int64_t top_k,
-                     const BoundCtx* bound_ctx,
-                     const std::unordered_set<Key>* excluded,
-                     Candidate* best, bool* have, ArgmaxStats* stats) const;
+  /// One parallel chunk: groups [first, end), whose first unit is
+  /// `first_unit`.
+  struct ArgmaxChunk {
+    std::size_t first = 0;
+    std::size_t end = 0;
+    std::int64_t first_unit = 0;
+  };
 
-  /// Tiered-scan worker: sweeps the tier-list positions [first, end)
-  /// (indices into argmax_tier_list_, whose per-tier range bounds and
-  /// suffix arrays the prologue filled) with a chunk-local running
-  /// best. Seeds from the chunk's highest tier range bound, staging
-  /// that tier's per-gap bounds into \p seed_bounds (this chunk's
-  /// disjoint slice of argmax_bounds_, at least tier_cap wide) so the
-  /// sweep never scores a gap twice. \p soa points at this chunk's
-  /// 4*tier_cap-double slice of argmax_soa_, the staging buffer of the
-  /// batched (structure-of-arrays) per-gap bound kernel; \p scratch at
-  /// a second tier_cap-double bound slice for non-seed tiers.
-  void ScanTiersCached(std::size_t first, std::size_t end, Key lo_bound,
-                       Key hi_bound, const BoundCtx& ctx,
-                       const std::unordered_set<Key>* excluded,
-                       double* seed_bounds, double* scratch, double* soa,
-                       Candidate* best, bool* have,
+  /// The scans of the argmax skeleton: every unit exactly (prune off or
+  /// bounds not admissible), the per-round pre-pass that bounds every
+  /// unit, or the tiered scan that bounds groups first (cache).
+  enum class ScanMode { kExhaustive, kPrePass, kTiered };
+  static ScanMode PickScanMode(const ArgmaxOptions& argmax, bool admissible,
+                               ArgmaxStats* stats);
+
+  /// The argmax skeleton: partitions the source's groups into chunks of
+  /// at least kArgmaxChunkGaps units (one chunk without a multi-thread
+  /// \p pool), scans each with ScanArgmaxChunk, and folds the chunk
+  /// winners and counters in chunk (= key) order.
+  template <typename Src>
+  ArgmaxFold RunArgmax(const Src& src, ScanMode mode, ThreadPool* pool,
                        ArgmaxStats* stats) const;
 
-  /// Batched per-gap bound scores of one *fully in-range* tier with no
-  /// exclusions: a scalar staging pass extracts the gap endpoints into
-  /// the SoA slice \p soa, then an auto-vectorizable pure-double kernel
-  /// writes max(bound(lo), bound(hi)) per gap into \p out. Counts the
-  /// same bound_evals the scalar path would.
-  void BatchTierBounds(const TieredGaps::Tier& t, const BoundCtx& ctx,
-                       double* soa, double* out, ArgmaxStats* stats) const;
-
-  /// In-range gap count of tier \p t for the tiered scan ([lo_bound,
-  /// hi_bound] never clips a gap partially — see FindOptimal).
-  static std::int64_t TierInRangeCount(const TieredGaps::Tier& t,
-                                       Key lo_bound, Key hi_bound);
+  /// Scans chunk \p ci of argmax_chunks_ in \p mode with a chunk-local
+  /// running best \p fold. Pre-pass: bound every unit, exact-check the
+  /// first maximum (Src::kSeeds == 1) or the top Src::kSeeds bounds,
+  /// then a key-ordered sweep with the suffix-max early exit. Tiered:
+  /// bound every group, seed inside the first group with the highest
+  /// bound, then a sweep that skips groups, re-scores surviving groups
+  /// per unit, or exits.
+  template <typename Src>
+  void ScanArgmaxChunk(const Src& src, ScanMode mode, std::size_t ci,
+                       ArgmaxFold* fold, ArgmaxStats* stats) const;
 
   /// Clears \p buf, growing its capacity geometrically (and bumping
   /// scratch_reallocs_) only when \p needed exceeds it.
@@ -583,18 +549,17 @@ class LossLandscape {
 
   // Engine-owned argmax scratch, reused across rounds (see FindOptimal's
   // scratch note). Mutable: FindOptimal is logically const.
-  mutable std::vector<GapRange> argmax_ranges_;
+  mutable std::vector<GapGroup> argmax_gap_groups_;
+  mutable std::vector<ArgmaxChunk> argmax_chunks_;
+  // Per-unit pre-pass arrays, or per-chunk staging of the tiered scan.
   mutable std::vector<double> argmax_bounds_;
   mutable std::vector<double> argmax_suffix_max_;
   mutable std::vector<std::int64_t> argmax_suffix_cnt_;
   mutable std::vector<std::size_t> argmax_order_;
-  // Tiered-scan scratch (sized by tier count, ~sqrt(G)).
-  mutable std::vector<std::size_t> argmax_tier_list_;
+  // Tiered-scan per-group arrays (sized by group count, ~sqrt(G)).
   mutable std::vector<double> argmax_tier_bounds_;
   mutable std::vector<double> argmax_tier_suffix_max_;
   mutable std::vector<std::int64_t> argmax_tier_suffix_cnt_;
-  mutable std::vector<std::pair<std::size_t, std::size_t>>
-      argmax_chunk_tiers_;
   mutable std::vector<double> argmax_soa_;  // SoA staging of the batched
                                             // per-gap bound kernel.
   mutable std::int64_t scratch_reallocs_ = 0;

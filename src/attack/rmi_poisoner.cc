@@ -442,7 +442,6 @@ Result<RmiAttackResult> PoisonRmi(const KeySet& keyset,
   LossLandscape::ArgmaxOptions argmax;
   argmax.prune = options.prune_argmax;
   argmax.cache = options.cache_argmax;
-  argmax.top_k = options.argmax_top_k;
 
   // ---- Clean baseline: equal partition of K into N models. ----
   const std::int64_t base = n / num_models;

@@ -64,10 +64,6 @@ struct RmiAttackOptions {
   /// Tiered incremental pre-pass for every per-model landscape;
   /// bit-identical results either way. See AttackOptions::cache_argmax.
   bool cache_argmax = true;
-
-  /// Per-scan exact re-check budget when pruning. See
-  /// AttackOptions::argmax_top_k.
-  std::int64_t argmax_top_k = 16;
 };
 
 /// \brief Outcome of the RMI attack with everything the Fig. 6 / Fig. 7

@@ -52,17 +52,11 @@ struct AttackOptions {
   /// with prune_argmax.
   bool cache_argmax = true;
 
-  /// Gaps exactly re-checked up front when pruning (seed of the
-  /// branch-and-bound running best); the tiered scan seeds from the
-  /// per-tier bound maxima instead.
-  std::int64_t argmax_top_k = 16;
-
   /// \brief The LossLandscape-level view of the argmax knobs.
   LossLandscape::ArgmaxOptions ArgmaxKnobs() const {
     LossLandscape::ArgmaxOptions knobs;
     knobs.prune = prune_argmax;
     knobs.cache = cache_argmax;
-    knobs.top_k = argmax_top_k;
     return knobs;
   }
 };

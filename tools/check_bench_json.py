@@ -20,6 +20,12 @@ report shape the rest of the tooling depends on:
 With a second argument — the committed BENCH_attack_throughput.json —
 it additionally asserts the committed-trajectory acceptance criteria:
 
+  * every serial (threads = 1) incremental row of the smoke run that
+    the committed report also holds reproduces its argmax counters
+    (exact_evals, bound_evals, pruned_gaps, cached_bounds,
+    invalidated_gaps, fallback_rounds) and its attack outcome exactly —
+    the serial scan is deterministic, so any drift is a behaviour
+    change of the argmax, not noise;
   * ISSUE 4: on the sparse n=100k insertion configs (uniform and
     log-normal, serial, pruned) the cache-on arm's bound_evals are
     >= 10x below the cache-off arm's;
@@ -123,13 +129,16 @@ COUNTER_BENCHES = (
     DELETE_INCREMENTAL,
     "BM_GreedyModifyCdf_Incremental",
 )
-REQUIRED_COUNTERS = (
+# Argmax work counters a serial incremental row must reproduce exactly.
+PINNED_COUNTERS = (
     "exact_evals",
     "bound_evals",
     "pruned_gaps",
     "cached_bounds",
     "invalidated_gaps",
     "fallback_rounds",
+)
+REQUIRED_COUNTERS = PINNED_COUNTERS + (
     "num_threads",
     "hardware_concurrency",
     "poisons_per_sec",
@@ -240,6 +249,36 @@ def load_entries(path_or_report):
         for b in report.get("benchmarks", [])
         if b.get("run_type") != "aggregate"
     }
+
+
+def check_pinned_counters(fresh, path):
+    """Serial incremental rows of the fresh run match the committed ones.
+
+    Rows are (dataset, n, budget, threads, prune, cache); only
+    threads == 1 rows are compared, because a pooled scan's counters
+    depend on the recording machine's core count.
+    """
+    committed = load_entries(path)
+    pinned = 0
+    for name, entry in fresh.items():
+        base, args = split_args(name)
+        if "_Incremental" not in base or len(args) != 6 or args[3] != 1:
+            continue
+        if name not in committed:
+            continue
+        want = committed[name]
+        for counter in PINNED_COUNTERS:
+            assert entry[counter] == want[counter], (
+                f"{name}: {counter} {entry[counter]} differs from the "
+                f"committed {want[counter]}"
+            )
+        assert outcome(entry) == outcome(want), (
+            f"{name}: outcome {outcome(entry)} differs from the committed "
+            f"{outcome(want)}"
+        )
+        pinned += 1
+    assert pinned > 0, "no serial incremental row to pin against the baseline"
+    print(f"pinned counters OK: {pinned} serial incremental rows match")
 
 
 def check_committed_baseline(path):
@@ -719,14 +758,17 @@ def main():
         subprocess.run(
             [
                 bench,
-                # Dense n=10^4 greedy-family configs only (insertion,
-                # deletion, modification prune/cache arms + references):
-                # cheap enough for sanitizer builds. The trailing slash
-                # anchors the arg — google-benchmark filters are
-                # unanchored partial-match regexes, and a bare /0/10000
-                # would also match the ~2 s/iter n=100000 configs.
+                # Dense n=10^4 configs only (insertion, deletion,
+                # modification prune/cache arms + references, and the
+                # RMI attack, whose per-model scans take the excluded-key
+                # small-tier path): cheap enough for sanitizer builds.
+                # The trailing slash anchors the arg — google-benchmark
+                # filters are unanchored partial-match regexes, and a
+                # bare /0/10000 would also match the ~2 s/iter n=100000
+                # configs.
                 "--benchmark_filter="
-                "BM_Greedy(Poison|Delete|Modify)Cdf.*/0/10000/",
+                "BM_Greedy(Poison|Delete|Modify)Cdf.*/0/10000/"
+                "|BM_PoisonRmi_Incremental/0/10000/20/",
                 "--benchmark_min_time=0.05",
                 "--benchmark_out=" + out,
                 "--benchmark_out_format=json",
@@ -772,6 +814,7 @@ def main():
     )
 
     if len(sys.argv) == 3:
+        check_pinned_counters(entries, sys.argv[2])
         check_committed_baseline(sys.argv[2])
     return 0
 
