@@ -99,7 +99,7 @@ void ReportGreedy(benchmark::State& state, const GreedyPoisonResult& r,
 
 /// Argmax work per attack construction (one full greedy run / one RMI
 /// attack): exact Theorem 1 evaluations and gaps pruned by the bound
-/// pre-pass. Deterministic per configuration, so the committed baseline
+/// scan. Deterministic per configuration, so the committed baseline
 /// JSON doubles as the PR-over-PR record of the pruning win.
 void ReportArgmax(benchmark::State& state,
                   const LossLandscape::ArgmaxStats& stats) {
@@ -120,12 +120,10 @@ void BM_GreedyPoisonCdf_Incremental(benchmark::State& state) {
   const std::int64_t p = state.range(2);
   const std::int64_t num_threads = state.range(3);
   const bool prune = state.range(4) != 0;
-  const bool cache = state.range(5) != 0;
   const KeySet& ks = CachedKeyset(dataset, n);
   AttackOptions options;
   options.num_threads = static_cast<int>(num_threads);
   options.prune_argmax = prune;
-  options.cache_argmax = cache;
   GreedyPoisonResult last;
   for (auto _ : state) {
     auto r = GreedyPoisonCdf(ks, p, options);
@@ -174,12 +172,10 @@ void BM_GreedyDeleteCdf_Incremental(benchmark::State& state) {
   const std::int64_t d = state.range(2);
   const std::int64_t num_threads = state.range(3);
   const bool prune = state.range(4) != 0;
-  const bool cache = state.range(5) != 0;
   const KeySet& ks = CachedKeyset(dataset, n);
   AttackOptions options;
   options.num_threads = static_cast<int>(num_threads);
   options.prune_argmax = prune;
-  options.cache_argmax = cache;
   DeletionAttackResult last;
   for (auto _ : state) {
     auto r = GreedyDeleteCdf(ks, d, /*deletable=*/{}, options);
@@ -231,12 +227,10 @@ void BM_GreedyModifyCdf_Incremental(benchmark::State& state) {
   const std::int64_t moves = state.range(2);
   const std::int64_t num_threads = state.range(3);
   const bool prune = state.range(4) != 0;
-  const bool cache = state.range(5) != 0;
   const KeySet& ks = CachedKeyset(dataset, n);
   AttackOptions options;
   options.num_threads = static_cast<int>(num_threads);
   options.prune_argmax = prune;
-  options.cache_argmax = cache;
   ModificationAttackResult last;
   for (auto _ : state) {
     auto r = GreedyModifyCdf(ks, moves, /*movable=*/{}, options);
@@ -287,14 +281,12 @@ void BM_PoisonRmi_Incremental(benchmark::State& state) {
   const std::int64_t num_models = state.range(2);
   const int num_threads = static_cast<int>(state.range(3));
   const bool prune = state.range(4) != 0;
-  const bool cache = state.range(5) != 0;
   const KeySet& ks = CachedKeyset(dataset, n);
   RmiAttackOptions opts;
   opts.poison_fraction = 0.10;
   opts.num_models = num_models;
   opts.num_threads = num_threads;
   opts.prune_argmax = prune;
-  opts.cache_argmax = cache;
   for (auto _ : state) {
     auto r = PoisonRmi(ks, opts);
     if (!r.ok()) {
@@ -333,59 +325,53 @@ void BM_PoisonRmi_Reference(benchmark::State& state) {
 // Acceptance configuration: n=100k, p=1000 greedy; n=100k, 200 models
 // RMI. Smaller variants first so CI smoke filters stay cheap. The
 // incremental configs carry a num_threads arg (1 = serial argmax, 0 =
-// one worker per core), a prune arg (1 = branch-and-bound pruned
-// argmax, 0 = exhaustive), and a cache arg (1 = incremental bound
-// cache, 0 = per-round full pre-pass) — the prune-off and cache-off
-// siblings of the sparse configs keep the exact_evals and bound_evals
-// reductions measurable PR-over-PR from the committed JSON alone
-// (tools/check_bench_json.py asserts the >= 10x bound_evals drop on the
-// committed baseline's sparse cache pairs).
+// one worker per core) and a prune arg (1 = the branch-and-bound tiered
+// scan, 0 = exhaustive) — the prune-off siblings of the sparse configs
+// keep the exact_evals and bound_evals reductions measurable
+// PR-over-PR from the committed JSON alone (tools/check_bench_json.py
+// asserts that the tiered bound_evals stay >= 10x below the exhaustive
+// exact_evals on the committed baseline's sparse prune pairs).
 BENCHMARK(BM_GreedyPoisonCdf_Incremental)
     ->Unit(benchmark::kMillisecond)
-    ->Args({kDenseRuns, 10000, 100, 1, 1, 1})
-    ->Args({kDenseRuns, 10000, 100, 1, 1, 0})
-    ->Args({kDenseRuns, 10000, 100, 1, 0, 0})
-    ->Args({kDenseRuns, 100000, 1000, 1, 1, 1})
-    ->Args({kLogNormal, 100000, 1000, 1, 1, 1})
-    ->Args({kLogNormal, 100000, 1000, 1, 1, 0})
-    ->Args({kLogNormal, 100000, 1000, 1, 0, 0})
-    ->Args({kLogNormal, 100000, 1000, 0, 1, 1})
-    ->Args({kUniform, 100000, 1000, 1, 1, 1})
-    ->Args({kUniform, 100000, 1000, 1, 1, 0})
-    ->Args({kUniform, 100000, 1000, 1, 0, 0})
-    ->Args({kUniform, 100000, 1000, 0, 1, 1})
+    ->Args({kDenseRuns, 10000, 100, 1, 1})
+    ->Args({kDenseRuns, 10000, 100, 1, 0})
+    ->Args({kDenseRuns, 100000, 1000, 1, 1})
+    ->Args({kLogNormal, 100000, 1000, 1, 1})
+    ->Args({kLogNormal, 100000, 1000, 1, 0})
+    ->Args({kLogNormal, 100000, 1000, 0, 1})
+    ->Args({kUniform, 100000, 1000, 1, 1})
+    ->Args({kUniform, 100000, 1000, 1, 0})
+    ->Args({kUniform, 100000, 1000, 0, 1})
     // ISSUE 9 scale row: n=10M (no reference sibling — the
     // rebuild-per-round baseline needs O(p*n) work per run and would
     // take hours; the --attack-10m gate instead holds the per-commit
     // counters sublinear against the n=100k rows). Excluded from the
     // CI smoke filter, present in the committed full-run JSON.
-    ->Args({kUniform, 10000000, 200, 1, 1, 1});
+    ->Args({kUniform, 10000000, 200, 1, 1});
 BENCHMARK(BM_GreedyPoisonCdf_Reference)
     ->Unit(benchmark::kMillisecond)
     ->Args({kDenseRuns, 10000, 100})
     ->Args({kDenseRuns, 100000, 1000})
     ->Args({kLogNormal, 100000, 1000})
     ->Args({kUniform, 100000, 1000});
-// Update-stream configs: same 6-arg layout as the insertion attacks
-// (dataset, n, budget, threads, prune, cache). The cache arm of the
-// removal argmax is the block-chord tiered scan (one bound per
-// 128-candidate block, per-key re-scoring only in surviving blocks);
-// ISSUE 5's acceptance gate (>= 10x deletion wall-clock vs the
-// rebuild-per-round reference at n=100k) is asserted on the committed
-// JSON by tools/check_bench_json.py.
+// Update-stream configs: same 5-arg layout as the insertion attacks
+// (dataset, n, budget, threads, prune). The pruned removal argmax is
+// the block-chord tiered scan (one bound per ~sqrt(n)-key block,
+// per-key re-scoring only in surviving blocks); the deletion gate
+// (>= 10x deletion wall-clock vs the rebuild-per-round reference at
+// n=100k) is asserted on the committed JSON by
+// tools/check_bench_json.py.
 BENCHMARK(BM_GreedyDeleteCdf_Incremental)
     ->Unit(benchmark::kMillisecond)
-    ->Args({kDenseRuns, 10000, 100, 1, 1, 1})
-    ->Args({kDenseRuns, 10000, 100, 1, 1, 0})
-    ->Args({kDenseRuns, 10000, 100, 1, 0, 0})
-    ->Args({kUniform, 100000, 200, 1, 1, 1})
-    ->Args({kUniform, 100000, 200, 1, 1, 0})
-    ->Args({kUniform, 100000, 200, 1, 0, 0})
-    ->Args({kUniform, 100000, 200, 0, 1, 1})
-    ->Args({kLogNormal, 100000, 200, 1, 1, 1})
+    ->Args({kDenseRuns, 10000, 100, 1, 1})
+    ->Args({kDenseRuns, 10000, 100, 1, 0})
+    ->Args({kUniform, 100000, 200, 1, 1})
+    ->Args({kUniform, 100000, 200, 1, 0})
+    ->Args({kUniform, 100000, 200, 0, 1})
+    ->Args({kLogNormal, 100000, 200, 1, 1})
     // ISSUE 9 scale row: same d=200 budget as the n=100k rows so the
     // per-commit SoA touched-slot quotient is directly comparable.
-    ->Args({kUniform, 10000000, 200, 1, 1, 1});
+    ->Args({kUniform, 10000000, 200, 1, 1});
 BENCHMARK(BM_GreedyDeleteCdf_Reference)
     ->Unit(benchmark::kMillisecond)
     ->Args({kDenseRuns, 10000, 100})
@@ -393,11 +379,10 @@ BENCHMARK(BM_GreedyDeleteCdf_Reference)
     ->Args({kLogNormal, 100000, 200});
 BENCHMARK(BM_GreedyModifyCdf_Incremental)
     ->Unit(benchmark::kMillisecond)
-    ->Args({kDenseRuns, 10000, 50, 1, 1, 1})
-    ->Args({kDenseRuns, 10000, 50, 1, 1, 0})
-    ->Args({kDenseRuns, 10000, 50, 1, 0, 0})
-    ->Args({kUniform, 100000, 100, 1, 1, 1})
-    ->Args({kUniform, 100000, 100, 0, 1, 1});
+    ->Args({kDenseRuns, 10000, 50, 1, 1})
+    ->Args({kDenseRuns, 10000, 50, 1, 0})
+    ->Args({kUniform, 100000, 100, 1, 1})
+    ->Args({kUniform, 100000, 100, 0, 1});
 BENCHMARK(BM_GreedyModifyCdf_Reference)
     ->Unit(benchmark::kMillisecond)
     ->Args({kDenseRuns, 10000, 50})
@@ -407,14 +392,12 @@ BENCHMARK(BM_GreedyModifyCdf_Reference)
 // configurations use the paper's skewed and uniform workloads.
 BENCHMARK(BM_PoisonRmi_Incremental)
     ->Unit(benchmark::kMillisecond)
-    ->Args({kDenseRuns, 10000, 20, 1, 1, 1})
-    ->Args({kLogNormal, 100000, 200, 1, 1, 1})
-    ->Args({kLogNormal, 100000, 200, 1, 1, 0})
-    ->Args({kLogNormal, 100000, 200, 1, 0, 0})
-    ->Args({kLogNormal, 100000, 200, 0, 1, 1})
-    ->Args({kUniform, 100000, 200, 1, 1, 1})
-    ->Args({kUniform, 100000, 200, 1, 1, 0})
-    ->Args({kUniform, 100000, 200, 1, 0, 0});
+    ->Args({kDenseRuns, 10000, 20, 1, 1})
+    ->Args({kLogNormal, 100000, 200, 1, 1})
+    ->Args({kLogNormal, 100000, 200, 1, 0})
+    ->Args({kLogNormal, 100000, 200, 0, 1})
+    ->Args({kUniform, 100000, 200, 1, 1})
+    ->Args({kUniform, 100000, 200, 1, 0});
 BENCHMARK(BM_PoisonRmi_Reference)
     ->Unit(benchmark::kMillisecond)
     ->Args({kDenseRuns, 10000, 20})

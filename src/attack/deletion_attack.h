@@ -12,7 +12,7 @@
 // (RemoveKey / InsertKey commits, the pruned removal argmax with its
 // batched SoA bound kernel, and the tiered insertion argmax), selecting
 // bit-identical sequences to the retained rebuild-per-round references
-// for every prune x cache x thread-count combination.
+// for every prune x thread-count combination.
 
 #ifndef LISPOISON_ATTACK_DELETION_ATTACK_H_
 #define LISPOISON_ATTACK_DELETION_ATTACK_H_
@@ -58,10 +58,9 @@ struct DeletionAttackResult {
 /// the aggregates (O(log n)), the tiered gap decomposition (O(sqrt(G))
 /// merge) and the candidate SoA in place, and each round's argmax is
 /// the pruned FindOptimalRemoval scan — no per-round landscape
-/// reconstruction. AttackOptions::num_threads / prune_argmax /
-/// cache_argmax plumb straight through; the removed-key sequence and
-/// loss trajectory are bit-identical to GreedyDeleteCdfReference for
-/// every setting.
+/// reconstruction. AttackOptions::num_threads / prune_argmax plumb
+/// straight through; the removed-key sequence and loss trajectory are
+/// bit-identical to GreedyDeleteCdfReference for every setting.
 ///
 /// The adversary may only delete keys it plausibly controls; pass
 /// \p deletable to restrict candidates (empty = any key may go). Fails
@@ -108,7 +107,7 @@ struct ModificationAttackResult {
 /// Runs on one persistent LossLandscape via RemoveKey + InsertKey (the
 /// ReplaceKey decomposition), sharing the incremental engine with every
 /// other attack in the repo; bit-identical to
-/// GreedyModifyCdfReference for every prune x cache x thread setting.
+/// GreedyModifyCdfReference for every prune x thread setting.
 ///
 /// \p movable restricts which keys may be relocated (empty = any).
 Result<ModificationAttackResult> GreedyModifyCdf(

@@ -20,8 +20,9 @@
 // incremental argmax an O(1) per-tier admissible bound on the Theorem 1
 // loss over every candidate the tier contains (a left-tangent bound on
 // the covariance, which is piecewise linear with non-decreasing slopes
-// along the candidate axis) — the filter that replaces the O(G)
-// per-round bound pre-pass (see LossLandscape::FindOptimal).
+// along the candidate axis) — the filter that lets the argmax skip
+// whole tiers instead of bounding all O(G) gaps every round (see
+// LossLandscape::FindOptimal).
 
 #ifndef LISPOISON_ATTACK_GAP_TIERS_H_
 #define LISPOISON_ATTACK_GAP_TIERS_H_

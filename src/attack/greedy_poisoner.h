@@ -51,13 +51,12 @@ struct GreedyPoisonResult {
 /// 1 the per-round argmax scan fans out over chunked gap ranges on a
 /// ThreadPool with a fixed-order reduction; with
 /// AttackOptions::prune_argmax (the default) each scan runs the
-/// branch-and-bound pruned pipeline (admissible upper bounds, early
-/// exit), and with AttackOptions::cache_argmax (the default) the
-/// pipeline runs tiered — one range bound per gap tier, per-gap
-/// re-scoring only inside surviving tiers — dropping per-round bound
-/// work to O(sqrt(G) + survivors). Selects bit-identical poison
-/// sequences to GreedyPoisonCdfReference for every thread count,
-/// pruning, and cache setting.
+/// branch-and-bound tiered scan (admissible upper bounds, early exit)
+/// — one range bound per gap tier, per-gap re-scoring only inside
+/// surviving tiers — dropping per-round bound work to O(sqrt(G) +
+/// survivors). Selects bit-identical poison sequences to
+/// GreedyPoisonCdfReference for every thread count and pruning
+/// setting.
 ///
 /// Fails with InvalidArgument for empty keysets or p < 1, and with
 /// ResourceExhausted if the allowed range runs out of unoccupied keys

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <numeric>
 #include <string>
 
 #include "common/thread_pool.h"
@@ -464,10 +463,6 @@ namespace {
 /// thread count) so the chunk boundaries — and therefore the reduction
 /// order and every counter — are identical for every pool size.
 constexpr std::int64_t kArgmaxChunkGaps = 2048;
-
-/// Gaps the insertion pre-pass exact-checks up front, in decreasing
-/// bound order, to seed the running best before its sweep.
-constexpr std::size_t kArgmaxTopK = 16;
 
 /// Smallest tier the batched gap-bound kernel takes. Measured: below
 /// ~tens of gaps (the RMI per-model regime) the staging pass costs more
@@ -974,18 +969,11 @@ void LossLandscape::PoisonArgmaxScratchForTesting() const {
   constexpr std::int64_t kCnt =
       std::numeric_limits<std::int64_t>::max() / 3;
   ScratchUnpoisonAll(&argmax_bounds_);
-  ScratchUnpoisonAll(&argmax_suffix_max_);
-  ScratchUnpoisonAll(&argmax_suffix_cnt_);
-  ScratchUnpoisonAll(&argmax_order_);
   ScratchUnpoisonAll(&argmax_tier_bounds_);
   ScratchUnpoisonAll(&argmax_tier_suffix_max_);
   ScratchUnpoisonAll(&argmax_tier_suffix_cnt_);
   ScratchUnpoisonAll(&argmax_soa_);
   std::fill(argmax_bounds_.begin(), argmax_bounds_.end(), dnan);
-  std::fill(argmax_suffix_max_.begin(), argmax_suffix_max_.end(), dnan);
-  std::fill(argmax_suffix_cnt_.begin(), argmax_suffix_cnt_.end(), kCnt);
-  std::fill(argmax_order_.begin(), argmax_order_.end(),
-            std::numeric_limits<std::size_t>::max());
   std::fill(argmax_tier_bounds_.begin(), argmax_tier_bounds_.end(), dnan);
   std::fill(argmax_tier_suffix_max_.begin(), argmax_tier_suffix_max_.end(),
             dnan);
@@ -1031,7 +1019,7 @@ LossLandscape::ScanMode LossLandscape::PickScanMode(
     stats->fallback_rounds = 1;
     return ScanMode::kExhaustive;
   }
-  return argmax.cache ? ScanMode::kTiered : ScanMode::kPrePass;
+  return ScanMode::kTiered;
 }
 
 template <typename Src>
@@ -1052,41 +1040,27 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
                : 1);
   if (parallel) {
     std::size_t first = 0;
-    std::int64_t first_unit = 0;
     std::int64_t acc = 0;
     for (std::size_t g = 0; g < groups; ++g) {
       acc += src.Units(g);
       if (acc >= kArgmaxChunkGaps) {
-        chunks.push_back(ArgmaxChunk{first, g + 1, first_unit});
+        chunks.push_back(ArgmaxChunk{first, g + 1});
         first = g + 1;
-        first_unit += acc;
         acc = 0;
       }
     }
-    if (first < groups) {
-      chunks.push_back(ArgmaxChunk{first, groups, first_unit});
-    }
+    if (first < groups) chunks.push_back(ArgmaxChunk{first, groups});
   } else {
-    chunks.push_back(ArgmaxChunk{0, groups, 0});
+    chunks.push_back(ArgmaxChunk{0, groups});
   }
   const std::size_t num_chunks = chunks.size();
 
-  // Per chunk, disjoint: the batched kernel's SoA staging lanes, and in
-  // the tiered scan a seed-group and a swept-group slice of unit bounds.
-  const std::size_t stride = src.MaxUnits();
-  if (mode != ScanMode::kExhaustive) {
+  // Per chunk, disjoint: the batched kernel's SoA staging lanes and a
+  // seed-group and a swept-group slice of unit bounds.
+  if (mode == ScanMode::kTiered) {
+    const std::size_t stride = src.MaxUnits();
     EnsureScratchSize(&argmax_soa_, num_chunks * Src::kSoaLanes * stride,
                       &scratch_reallocs_);
-  }
-  if (mode == ScanMode::kPrePass) {
-    const auto units = static_cast<std::size_t>(src.total);
-    EnsureScratchSize(&argmax_bounds_, units, &scratch_reallocs_);
-    EnsureScratchSize(&argmax_suffix_max_, units, &scratch_reallocs_);
-    EnsureScratchSize(&argmax_suffix_cnt_, units, &scratch_reallocs_);
-    if (Src::kSeeds > 1) {
-      EnsureScratchSize(&argmax_order_, units, &scratch_reallocs_);
-    }
-  } else if (mode == ScanMode::kTiered) {
     EnsureScratchSize(&argmax_tier_bounds_, groups, &scratch_reallocs_);
     EnsureScratchSize(&argmax_tier_suffix_max_, groups, &scratch_reallocs_);
     EnsureScratchSize(&argmax_tier_suffix_cnt_, groups, &scratch_reallocs_);
@@ -1138,90 +1112,13 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
     }
     return;
   }
-  const std::size_t stride = src.MaxUnits();
-  double* soa = argmax_soa_.data() + ci * Src::kSoaLanes * stride;
-
-  if (mode == ScanMode::kPrePass) {
-    // Score every unit into the candidate-indexed scratch (chunks own
-    // disjoint slices of it).
-    double* bounds = argmax_bounds_.data();
-    const auto first = static_cast<std::size_t>(chunk.first_unit);
-    std::size_t end = first;
-    for (std::size_t g = chunk.first; g < chunk.end; ++g) {
-      src.UnitBounds(g, bounds + end, soa, stats);
-      end += static_cast<std::size_t>(src.Units(g));
-    }
-
-    // Seed the running best by exact-checking the highest bounds — the
-    // first maximum (std::max_element) for one seed, else the top kSeeds
-    // (nth_element's partition is unstable but deterministic for a given
-    // input) — and consume them so the sweep skips them.
-    auto seed = [&](std::size_t i) {
-      if (bounds[i] == kNoBound) return;
-      const std::size_t g = src.GroupOf(static_cast<std::int64_t>(i));
-      src.Exact(g, static_cast<std::int64_t>(i) - src.FirstUnit(g), fold,
-                stats);
-      bounds[i] = kNoBound;
-    };
-    const std::size_t k = std::min(end - first, Src::kSeeds);
-    if (k == 1) {
-      seed(static_cast<std::size_t>(
-          std::max_element(bounds + first, bounds + end) - bounds));
-    } else if (k > 1) {
-      const auto order = argmax_order_.begin();
-      std::iota(order + static_cast<std::ptrdiff_t>(first),
-                order + static_cast<std::ptrdiff_t>(end), first);
-      std::nth_element(order + static_cast<std::ptrdiff_t>(first),
-                       order + static_cast<std::ptrdiff_t>(first + k),
-                       order + static_cast<std::ptrdiff_t>(end),
-                       [bounds](std::size_t a, std::size_t b) {
-                         return bounds[a] > bounds[b];
-                       });
-      for (std::size_t j = first; j < first + k; ++j) seed(order[j]);
-    }
-
-    // Suffix max/count over the unconsumed bounds: the early exit and
-    // the exact pruned-candidate count.
-    double* suffix_max = argmax_suffix_max_.data();
-    std::int64_t* suffix_cnt = argmax_suffix_cnt_.data();
-    double run_max = kNoBound;
-    std::int64_t run_cnt = 0;
-    for (std::size_t i = end; i > first; --i) {
-      const double b = bounds[i - 1];
-      if (b != kNoBound) {
-        ++run_cnt;
-        if (b > run_max) run_max = b;
-      }
-      suffix_max[i - 1] = run_max;
-      suffix_cnt[i - 1] = run_cnt;
-    }
-
-    // Key-ordered sweep; exits once every remaining bound is below the
-    // best.
-    std::size_t i = first;
-    for (std::size_t g = chunk.first; g < chunk.end; ++g) {
-      const std::int64_t m = src.Units(g);
-      for (std::int64_t j = 0; j < m; ++j, ++i) {
-        if (below_best(suffix_max[i])) {
-          stats->pruned_gaps += suffix_cnt[i];
-          return;
-        }
-        const double b = bounds[i];
-        if (b == kNoBound) continue;
-        if (below_best(b)) {
-          ++stats->pruned_gaps;
-          continue;
-        }
-        src.Exact(g, j, fold, stats);
-      }
-    }
-    return;
-  }
 
   // Tiered scan: one admissible bound per group, then per-unit bounds
   // only inside groups whose bound reaches the running best.
   // Accounting: a unit is "cached" when its group's bound disposed of
   // it, "invalidated" when its group survived and it was scored alone.
+  const std::size_t stride = src.MaxUnits();
+  double* soa = argmax_soa_.data() + ci * Src::kSoaLanes * stride;
   double* seed_bounds = argmax_bounds_.data() + ci * 2 * stride;
   double* scratch = seed_bounds + stride;
   double* group_bound = argmax_tier_bounds_.data();
@@ -1292,11 +1189,8 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
 
 /// Insertion candidates. A unit is one maximal gap inside the scan
 /// range, offered at its two endpoints (Theorem 2) minus the excluded
-/// keys. A group is the in-range slice of one tier; for the pre-pass,
-/// whose chunks are fixed runs of kArgmaxChunkGaps gaps, the slices are
-/// also cut where such a run ends.
+/// keys. A group is the in-range slice of one tier.
 struct LossLandscape::GapSource {
-  static constexpr std::size_t kSeeds = kArgmaxTopK;
   static constexpr std::size_t kSoaLanes = 4;
 
   const LossLandscape& ll;
@@ -1308,13 +1202,6 @@ struct LossLandscape::GapSource {
   std::size_t num_groups() const { return groups.size(); }
   std::int64_t Units(std::size_t g) const {
     return static_cast<std::int64_t>(groups[g].end - groups[g].begin);
-  }
-  std::int64_t FirstUnit(std::size_t g) const { return groups[g].first_unit; }
-  std::size_t GroupOf(std::int64_t unit) const {
-    const auto it = std::upper_bound(
-        groups.begin(), groups.end(), unit,
-        [](std::int64_t u, const GapGroup& grp) { return u < grp.first_unit; });
-    return static_cast<std::size_t>(it - groups.begin()) - 1;
   }
   std::size_t MaxUnits() const {
     return static_cast<std::size_t>(ll.gaps_.tier_cap());
@@ -1423,7 +1310,7 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
 // test, under which wide domains could overflow the "exact"
 // aggregates and silently void the bit-identity the differential
 // suites pin (the exhaustive fallback keeps prune-vs-exhaustive
-// trivially identical there). It also keeps the pre-passes' int64
+// trivially identical there). It also keeps the bound kernels' int64
 // candidate shifts — and the removal SoA's int64 suffix sums, which
 // stay below n*S — safe (n1*S < 2^63 implies S < 2^62). The removal
 // side's n1 = n-1 aggregates are strictly smaller, so one guard covers
@@ -1449,21 +1336,14 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
   const ScanMode mode =
       PickScanMode(argmax, PruneDomainOk() && ctx.usable, &local);
 
-  // The scan range's gaps as groups: each tier's in-range slice, cut
-  // for the pre-pass at every kArgmaxChunkGaps-th gap so its parallel
-  // chunks are fixed runs of that many gaps, whatever the tier layout.
-  // The range ends at an occupied key or a domain edge, so it never
-  // clips a gap and membership is a whole-gap test; only the edge tiers
-  // have out-of-range gaps.
-  const bool cut = mode == ScanMode::kPrePass;
+  // The scan range's gaps as groups: each tier's in-range slice. The
+  // range ends at an occupied key or a domain edge, so it never clips a
+  // gap and membership is a whole-gap test; only the edge tiers have
+  // out-of-range gaps.
   const Key lo = interior_only ? min_key_ + 1 : domain_.lo;
   const Key hi = interior_only ? max_key_ - 1 : domain_.hi;
   const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
-  auto& groups = PrepareScratch(
-      &argmax_gap_groups_,
-      tiers.size() + (cut ? static_cast<std::size_t>(gaps_.size() /
-                                                     kArgmaxChunkGaps)
-                          : 0));
+  auto& groups = PrepareScratch(&argmax_gap_groups_, tiers.size());
   std::int64_t units = 0;
   for (std::size_t ti = lo <= hi ? gaps_.FirstTierNotBelow(lo) : tiers.size();
        ti < tiers.size() && tiers[ti].lo <= hi; ++ti) {
@@ -1472,15 +1352,9 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
     std::size_t e = gs.size();
     while (b < e && gs[b].hi < lo) ++b;
     while (e > b && gs[e - 1].lo > hi) --e;
-    while (b < e) {
-      const std::size_t ge =
-          cut ? std::min(e, b + static_cast<std::size_t>(
-                                    kArgmaxChunkGaps -
-                                    units % kArgmaxChunkGaps))
-              : e;
-      groups.push_back(GapGroup{ti, b, ge, units});
-      units += static_cast<std::int64_t>(ge - b);
-      b = ge;
+    if (b < e) {
+      groups.push_back(GapGroup{ti, b, e});
+      units += static_cast<std::int64_t>(e - b);
     }
   }
 
@@ -1537,7 +1411,6 @@ long double LossLandscape::LossWithoutKey(Key key, std::int64_t rank,
 /// structure doubles as the bound tier structure, so the next round's
 /// block bounds see every commit exactly.
 struct LossLandscape::KeySource {
-  static constexpr std::size_t kSeeds = 1;
   static constexpr std::size_t kSoaLanes = 0;  // Blocks are SoA already.
 
   const LossLandscape& ll;
@@ -1551,12 +1424,6 @@ struct LossLandscape::KeySource {
   std::size_t num_groups() const { return ll.rem_soa_.block_count(); }
   std::int64_t Units(std::size_t b) const {
     return static_cast<std::int64_t>(block(b).keys.size());
-  }
-  std::int64_t FirstUnit(std::size_t b) const {
-    return block(b).count_before;
-  }
-  std::size_t GroupOf(std::int64_t unit) const {
-    return ll.rem_soa_.BlockOfIndex(unit);
   }
   std::size_t MaxUnits() const {
     return static_cast<std::size_t>(ll.rem_soa_.block_cap());

@@ -46,9 +46,9 @@
 // (directed-rounding error margins), so the selected candidate stays
 // bit-identical to the exhaustive scan.
 //
-// With ArgmaxOptions::cache (the default) the scan is *tiered*: instead
-// of re-scoring all O(G) gaps every round, it first scores one
-// admissible range bound per ~sqrt(G)-gap tier, computed in O(1) from
+// The pruned scan is *tiered*: instead of re-scoring all O(G) gaps
+// every round, it first scores one admissible range bound per
+// ~sqrt(G)-gap tier, computed in O(1) from
 // the tier's key range and its first gap's exact (count, prefix-sum)
 // record — state the tiered gap structure maintains incrementally
 // across InsertKey splices. The range bound exploits two
@@ -67,7 +67,7 @@
 // Cov from VarX badly enough to never skip a tier; the tangent form is
 // what makes a tier-granular bound tight.) Whenever a bound context is
 // not provably admissible the round falls back to the exhaustive scan,
-// so results are bit-identical in every mode.
+// so results are bit-identical either way.
 
 #ifndef LISPOISON_ATTACK_LOSS_LANDSCAPE_H_
 #define LISPOISON_ATTACK_LOSS_LANDSCAPE_H_
@@ -196,32 +196,26 @@ class LossLandscape {
 
   /// \brief Knobs for the pruned argmax (see FindOptimal).
   struct ArgmaxOptions {
-    /// Run the branch-and-bound pruned scan: every gap is scored against
-    /// an admissible per-gap upper bound on the Theorem 1 loss, only the
-    /// survivors are re-checked exactly. The selected Candidate is
-    /// bit-identical to the exhaustive scan (the bound provably
-    /// dominates the exact loss; ties re-check every contender and break
-    /// toward the smaller key, the first-maximum-in-key-order rule of
-    /// the serial scan).
+    /// Run the branch-and-bound tiered scan: one admissible bound per
+    /// group (gap tier or key block, O(1) from the incrementally
+    /// maintained state), per-unit bounds only inside groups whose
+    /// bound reaches the running best, and exact re-checks only of the
+    /// surviving units — O(sqrt(G) + survivors) bound work per round.
+    /// The selected Candidate is bit-identical to the exhaustive scan
+    /// (the bounds provably dominate the exact loss; ties re-check
+    /// every contender and break toward the smaller key, the
+    /// first-maximum-in-key-order rule of the serial scan). Off runs the
+    /// exhaustive scan, the reference the differential tests compare
+    /// against.
     bool prune = true;
-
-    /// Tiered scan: score one admissible bound per group (gap tier or
-    /// key block, O(1) from the incrementally maintained state) and
-    /// re-score units individually only inside groups whose bound
-    /// reaches the running best — O(sqrt(G) + survivors) bound work per
-    /// round instead of O(G). Bit-identical results either way; off
-    /// runs the per-round pre-pass that scores every unit, seeded by
-    /// exact re-checks of its highest bounds. Only meaningful with
-    /// prune.
-    bool cache = true;
   };
 
   /// \brief Evaluation-count counters accumulated across FindOptimal
   /// and FindOptimalRemoval calls. A "gap" below is a candidate unit:
   /// a gap for insertion, a stored key for removal. Counter values
   /// depend on the scan layout (serial vs chunked) — only the returned
-  /// Candidate is invariant. Coherence invariant of the tiered (cache)
-  /// scan, asserted by the stateful property harness: per round,
+  /// Candidate is invariant. Coherence invariant of the tiered scan,
+  /// asserted by the stateful property harness: per round,
   /// cached_bounds + invalidated_gaps equals the number of units in the
   /// scanned range.
   struct ArgmaxStats {
@@ -263,10 +257,8 @@ class LossLandscape {
   ///
   /// The scan is the argmax skeleton over the gap source: a unit is a
   /// gap, offered at its non-excluded endpoints; a group is the
-  /// in-range part of one tier (for the pre-pass, whose chunks are
-  /// fixed runs of gaps, also cut where such a run ends).
-  /// With \p argmax.prune (the default) and \p argmax.cache it runs
-  /// *tiered*: one range bound per tier (a covariance left-tangent over
+  /// in-range part of one tier. With \p argmax.prune (the default) it
+  /// runs *tiered*: one range bound per tier (a covariance left-tangent over
   /// the tier's key range), a seed inside the tier with the highest
   /// range bound, then a key-ordered sweep that skips whole tiers whose
   /// range bound is below the best, re-scores only the surviving tiers
@@ -275,7 +267,7 @@ class LossLandscape {
   /// only makes them admissible over-estimates; the per-gap bounds skip
   /// excluded endpoints exactly). Whenever the bound context is not
   /// provably admissible the call falls back to the exhaustive scan,
-  /// so the result is bit-identical in every mode (argmax_pruning_test,
+  /// so the result is bit-identical either way (argmax_pruning_test,
   /// the stateful property harness). \p stats, when non-null, is
   /// accumulated into, never reset.
   ///
@@ -290,8 +282,8 @@ class LossLandscape {
                                 const ArgmaxOptions& argmax,
                                 ArgmaxStats* stats = nullptr) const;
 
-  /// \brief Overload with the default ArgmaxOptions (pruning and cache
-  /// on). Kept separate because a nested-class default argument cannot
+  /// \brief Overload with the default ArgmaxOptions (the tiered
+  /// scan). Kept separate because a nested-class default argument cannot
   /// be spelled inside the enclosing class.
   Result<Candidate> FindOptimal(bool interior_only,
                                 const std::unordered_set<Key>* excluded =
@@ -318,7 +310,7 @@ class LossLandscape {
   /// The commit structure and the bound tier structure are the same
   /// blocks, so the next round's chords see every commit exactly.
   /// Results are bit-identical to an index-ordered exhaustive scan
-  /// (ties break toward the smaller key) for every prune/cache/thread
+  /// (ties break toward the smaller key) for every prune and thread
   /// setting; whenever the bound arithmetic is not provably admissible
   /// (wide domains) the round falls back to an exact Int128 scan.
   /// Counter contract of the tiered scan: cached_bounds +
@@ -477,27 +469,23 @@ class LossLandscape {
   struct KeySource;
   struct ArgmaxFold;
 
-  /// One gap-source group: in-range gaps [begin, end) of tier `tier`,
-  /// whose first gap is candidate unit `first_unit` of the scan.
+  /// One gap-source group: in-range gaps [begin, end) of tier `tier`.
   struct GapGroup {
     std::size_t tier = 0;
     std::size_t begin = 0;
     std::size_t end = 0;
-    std::int64_t first_unit = 0;
   };
 
-  /// One parallel chunk: groups [first, end), whose first unit is
-  /// `first_unit`.
+  /// One parallel chunk: groups [first, end).
   struct ArgmaxChunk {
     std::size_t first = 0;
     std::size_t end = 0;
-    std::int64_t first_unit = 0;
   };
 
   /// The scans of the argmax skeleton: every unit exactly (prune off or
-  /// bounds not admissible), the per-round pre-pass that bounds every
-  /// unit, or the tiered scan that bounds groups first (cache).
-  enum class ScanMode { kExhaustive, kPrePass, kTiered };
+  /// bounds not admissible), or the tiered scan that bounds groups
+  /// first.
+  enum class ScanMode { kExhaustive, kTiered };
   static ScanMode PickScanMode(const ArgmaxOptions& argmax, bool admissible,
                                ArgmaxStats* stats);
 
@@ -510,9 +498,7 @@ class LossLandscape {
                        ArgmaxStats* stats) const;
 
   /// Scans chunk \p ci of argmax_chunks_ in \p mode with a chunk-local
-  /// running best \p fold. Pre-pass: bound every unit, exact-check the
-  /// first maximum (Src::kSeeds == 1) or the top Src::kSeeds bounds,
-  /// then a key-ordered sweep with the suffix-max early exit. Tiered:
+  /// running best \p fold. Exhaustive: every unit exactly. Tiered:
   /// bound every group, seed inside the first group with the highest
   /// bound, then a sweep that skips groups, re-scores surviving groups
   /// per unit, or exits.
@@ -551,11 +537,8 @@ class LossLandscape {
   // scratch note). Mutable: FindOptimal is logically const.
   mutable std::vector<GapGroup> argmax_gap_groups_;
   mutable std::vector<ArgmaxChunk> argmax_chunks_;
-  // Per-unit pre-pass arrays, or per-chunk staging of the tiered scan.
+  // Per-chunk seed-group and swept-group unit bounds.
   mutable std::vector<double> argmax_bounds_;
-  mutable std::vector<double> argmax_suffix_max_;
-  mutable std::vector<std::int64_t> argmax_suffix_cnt_;
-  mutable std::vector<std::size_t> argmax_order_;
   // Tiered-scan per-group arrays (sized by group count, ~sqrt(G)).
   mutable std::vector<double> argmax_tier_bounds_;
   mutable std::vector<double> argmax_tier_suffix_max_;

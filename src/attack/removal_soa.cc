@@ -86,20 +86,6 @@ std::size_t RemovalSoa::FindBlock(Key k) const {
   return lo == 0 ? 0 : lo - 1;
 }
 
-std::size_t RemovalSoa::BlockOfIndex(std::int64_t idx) const {
-  std::size_t lo = 0;
-  std::size_t hi = blocks_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (blocks_[mid].count_before <= idx) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo - 1;
-}
-
 void RemovalSoa::Insert(Key k, std::int64_t x) {
   ++commits_;
   if (blocks_.empty()) {

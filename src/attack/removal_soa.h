@@ -93,10 +93,6 @@ class RemovalSoa {
   /// \p x): the exact dual of Insert, with an underflow merge.
   void Remove(Key k, std::int64_t x);
 
-  /// \brief Block containing global candidate index \p idx (binary
-  /// search on count_before). Requires 0 <= idx < size().
-  std::size_t BlockOfIndex(std::int64_t idx) const;
-
   /// \brief Appends the current keys (and, when with_sa(), the global
   /// suffix sums) in index order — the flat view, used by differential
   /// tests to compare against the block-local reconstruction.

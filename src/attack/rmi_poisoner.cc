@@ -441,7 +441,6 @@ Result<RmiAttackResult> PoisonRmi(const KeySet& keyset,
   ThreadPool pool(options.num_threads);
   LossLandscape::ArgmaxOptions argmax;
   argmax.prune = options.prune_argmax;
-  argmax.cache = options.cache_argmax;
 
   // ---- Clean baseline: equal partition of K into N models. ----
   const std::int64_t base = n / num_models;

@@ -56,14 +56,10 @@ struct RmiAttackOptions {
   /// disjoint slots and every decision reduces over them in fixed order.
   int num_threads = 0;
 
-  /// Branch-and-bound pruning of every per-model greedy argmax (the
-  /// key-allocation inner loop); bit-identical results either way. See
-  /// AttackOptions::prune_argmax.
+  /// Branch-and-bound pruning (the tiered scan) of every per-model
+  /// greedy argmax (the key-allocation inner loop); bit-identical
+  /// results either way. See AttackOptions::prune_argmax.
   bool prune_argmax = true;
-
-  /// Tiered incremental pre-pass for every per-model landscape;
-  /// bit-identical results either way. See AttackOptions::cache_argmax.
-  bool cache_argmax = true;
 };
 
 /// \brief Outcome of the RMI attack with everything the Fig. 6 / Fig. 7

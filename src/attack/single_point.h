@@ -34,29 +34,21 @@ struct AttackOptions {
   /// LossLandscape::FindOptimal).
   int num_threads = 1;
 
-  /// Branch-and-bound pruning of the per-round argmax: a double-
-  /// precision pre-pass bounds every gap's loss from above, only the
-  /// top-K bounds plus the gaps whose bound beats the running best are
-  /// evaluated exactly. Bit-identical to the exhaustive scan for every
-  /// setting (the bound is admissible, with an exhaustive fallback when
-  /// it is not provably so); off buys nothing but the reference
-  /// evaluation counts.
+  /// Branch-and-bound pruning of the per-round argmax, run as the
+  /// tiered scan: one admissible bound per ~sqrt(G)-gap tier (from the
+  /// per-tier aggregates the gap structure maintains across
+  /// insertions), gaps re-scored individually only inside tiers whose
+  /// bound reaches the running best, and only the gaps whose own bound
+  /// reaches it evaluated exactly. Bit-identical to the exhaustive scan
+  /// for every setting (the bounds are admissible, with an exhaustive
+  /// fallback when they are not provably so); off buys nothing but the
+  /// reference evaluation counts.
   bool prune_argmax = true;
-
-  /// Tiered incremental pre-pass: score one admissible bound per
-  /// ~sqrt(G)-gap tier (from the per-tier aggregates the gap structure
-  /// maintains across insertions) and re-score gaps individually only
-  /// inside tiers whose box bound reaches the running best, instead of
-  /// re-scoring all O(G) gaps every round. Bit-identical results either
-  /// way; off restores the per-round full pre-pass. Only meaningful
-  /// with prune_argmax.
-  bool cache_argmax = true;
 
   /// \brief The LossLandscape-level view of the argmax knobs.
   LossLandscape::ArgmaxOptions ArgmaxKnobs() const {
     LossLandscape::ArgmaxOptions knobs;
     knobs.prune = prune_argmax;
-    knobs.cache = cache_argmax;
     return knobs;
   }
 };

@@ -75,7 +75,7 @@ struct AdversaryOptions {
   /// paper's default: no outlier injections a trivial defense catches).
   bool interior_only = true;
 
-  /// Argmax configuration (pruning + tier cache on by default).
+  /// Argmax configuration (the pruned tiered scan by default).
   LossLandscape::ArgmaxOptions argmax;
 
   /// Ops between polls of the `serving.compactions` counter; observed

@@ -148,7 +148,7 @@ TEST(ArgmaxPruningTest, DifferentialAcrossLayoutsSizesAndThreadCounts) {
 
 TEST(ArgmaxPruningTest, DifferentialAtHugeKeyMagnitudes) {
   // Keys near +/-2^55: shifted candidates exceed 2^53, so every
-  // int64/int128->double conversion in the bound pre-pass actually
+  // int64/int128->double conversion in the bound kernels actually
   // rounds — the lossiest regime the admissibility margins must cover
   // (the tiny-domain cases above convert exactly). n stays small so the
   // exact 128-bit aggregates (n^2 * span^2 ~ 2^122) cannot overflow.
@@ -216,12 +216,8 @@ TEST(ArgmaxPruningTest, StatsCountersAreCoherent) {
   auto ll = LossLandscape::Create(*ks);
   ASSERT_TRUE(ll.ok());
 
-  // cache off: the PR 3 per-round full pre-pass, whose counter identity
-  // with the exhaustive scan is pinned below. The cached path has its
-  // own coherence test (CacheCountersAreCoherent).
   LossLandscape::ArgmaxOptions pruned;
   pruned.prune = true;
-  pruned.cache = false;
   LossLandscape::ArgmaxStats with_prune;
   auto a = ll->FindOptimal(true, nullptr, nullptr, pruned, &with_prune);
   ASSERT_TRUE(a.ok());
@@ -232,6 +228,9 @@ TEST(ArgmaxPruningTest, StatsCountersAreCoherent) {
   auto b = ll->FindOptimal(true, nullptr, nullptr, exhaustive, &without);
   ASSERT_TRUE(b.ok());
 
+  std::int64_t in_range = 0;
+  ll->ForEachGap(true, [&in_range](Key, Key, Rank, Int128) { ++in_range; });
+
   EXPECT_EQ(a->key, b->key);
   EXPECT_EQ(a->loss, b->loss);
   EXPECT_EQ(with_prune.rounds, 1);
@@ -239,23 +238,24 @@ TEST(ArgmaxPruningTest, StatsCountersAreCoherent) {
   EXPECT_EQ(with_prune.fallback_rounds, 0);
   EXPECT_EQ(without.bound_evals, 0);
   EXPECT_EQ(without.pruned_gaps, 0);
-  // The pre-pass scores every candidate the exhaustive scan evaluates...
-  EXPECT_EQ(with_prune.bound_evals, without.exact_evals);
-  // ...and the acceptance-level win: far fewer exact evaluations. The
-  // 3x bar is the ISSUE's floor; this landscape prunes >100x.
+  // The point of pruning: far fewer exact evaluations. 3x is a loose
+  // floor; this landscape prunes >100x.
   EXPECT_LE(with_prune.exact_evals * 3, without.exact_evals);
-  // Every gap is either pruned or had at least one exact evaluation.
+  // With nothing excluded, every gap is either pruned or evaluated
+  // exactly at one or both endpoints.
   EXPECT_GT(with_prune.pruned_gaps, 0);
-  // The uncached pre-pass never touches the cache counters.
-  EXPECT_EQ(with_prune.cached_bounds, 0);
-  EXPECT_EQ(with_prune.invalidated_gaps, 0);
+  const std::int64_t evaluated = in_range - with_prune.pruned_gaps;
+  EXPECT_GE(with_prune.exact_evals, evaluated);
+  EXPECT_LE(with_prune.exact_evals, 2 * evaluated);
+  EXPECT_EQ(with_prune.cached_bounds + with_prune.invalidated_gaps,
+            in_range);
 }
 
 TEST(ArgmaxPruningTest, WideDomainsFallBackToExhaustive) {
   // Admissibility envelope: with n1 keys of shifted magnitude <= S the
   // exact aggregates reach n1^2 S^2 / n1^3 S, so for n1 * S >= 2^63
-  // neither bound pre-pass is provably admissible and both pruned
-  // paths must fall back to the exhaustive scan (fallback_rounds) —
+  // the bounds are not provably admissible and the pruned scan must
+  // fall back to the exhaustive scan (fallback_rounds) —
   // the regime where PR 3's looser span-only guard would still have
   // pruned against potentially overflowed aggregates. n stays tiny so
   // the exhaustive arithmetic itself is safe (n1^2 S^2 < 2^127).
@@ -266,42 +266,38 @@ TEST(ArgmaxPruningTest, WideDomainsFallBackToExhaustive) {
   auto ll = LossLandscape::Create(*ks);
   ASSERT_TRUE(ll.ok());
 
-  for (const bool cache : {false, true}) {
-    LossLandscape::ArgmaxOptions pruned;
-    pruned.prune = true;
-    pruned.cache = cache;
-    LossLandscape::ArgmaxStats stats;
-    auto got = ll->FindOptimal(true, nullptr, nullptr, pruned, &stats);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(stats.fallback_rounds, 1) << "cache=" << cache;
-    EXPECT_EQ(stats.bound_evals, 0) << "cache=" << cache;
+  LossLandscape::ArgmaxOptions pruned;
+  pruned.prune = true;
+  LossLandscape::ArgmaxStats stats;
+  auto got = ll->FindOptimal(true, nullptr, nullptr, pruned, &stats);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(stats.fallback_rounds, 1);
+  EXPECT_EQ(stats.bound_evals, 0);
 
-    LossLandscape::ArgmaxOptions exhaustive;
-    exhaustive.prune = false;
-    auto want = ll->FindOptimal(true, nullptr, nullptr, exhaustive);
-    ASSERT_TRUE(want.ok());
-    EXPECT_EQ(want->key, got->key);
-    EXPECT_EQ(want->loss, got->loss);
-  }
+  LossLandscape::ArgmaxOptions exhaustive;
+  exhaustive.prune = false;
+  auto want = ll->FindOptimal(true, nullptr, nullptr, exhaustive);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(want->key, got->key);
+  EXPECT_EQ(want->loss, got->loss);
 }
 
-TEST(ArgmaxPruningTest, CacheCountersAreCoherentAndAmortized) {
+TEST(ArgmaxPruningTest, TieredCountersAreCoherentAndAmortized) {
   // The tiered incremental scan's accounting contract: every round,
   // each gap in the scanned range is either dispositioned by its tier's
   // box bound (cached_bounds) or re-scored individually
   // (invalidated_gaps), and the total bound work stays a fraction of
-  // the uncached O(G)-per-round pre-pass.
+  // the O(G)-per-round work of the exhaustive scan.
   Rng rng(0xCAC4E);
   auto ks = GenerateUniform(4000, KeyDomain{0, 80000}, &rng);
   ASSERT_TRUE(ks.ok());
   auto ll = LossLandscape::Create(*ks);
   ASSERT_TRUE(ll.ok());
 
-  LossLandscape::ArgmaxOptions cached;
-  cached.prune = true;
-  cached.cache = true;
-  LossLandscape::ArgmaxOptions uncached = cached;
-  uncached.cache = false;
+  LossLandscape::ArgmaxOptions tiered;
+  tiered.prune = true;
+  LossLandscape::ArgmaxOptions exhaustive;
+  exhaustive.prune = false;
 
   auto gaps_in_range = [&]() {
     std::int64_t gaps = 0;
@@ -310,13 +306,13 @@ TEST(ArgmaxPruningTest, CacheCountersAreCoherentAndAmortized) {
   };
 
   LossLandscape::ArgmaxStats total;
-  LossLandscape::ArgmaxStats uncached_total;
+  LossLandscape::ArgmaxStats exhaustive_total;
   std::int64_t prev_cached = 0;
   std::int64_t prev_invalid = 0;
   const int kRounds = 48;
   for (int round = 0; round < kRounds; ++round) {
     const std::int64_t in_range = gaps_in_range();
-    auto a = ll->FindOptimal(true, nullptr, nullptr, cached, &total);
+    auto a = ll->FindOptimal(true, nullptr, nullptr, tiered, &total);
     ASSERT_TRUE(a.ok());
     // Coherence: every in-range gap was either tier-dispositioned or
     // re-scored.
@@ -331,9 +327,9 @@ TEST(ArgmaxPruningTest, CacheCountersAreCoherentAndAmortized) {
     prev_cached = total.cached_bounds;
     prev_invalid = total.invalidated_gaps;
 
-    // The uncached sibling must agree bit-for-bit and re-score per round.
-    auto b = ll->FindOptimal(true, nullptr, nullptr, uncached,
-                             &uncached_total);
+    // The exhaustive sibling must agree bit-for-bit.
+    auto b = ll->FindOptimal(true, nullptr, nullptr, exhaustive,
+                             &exhaustive_total);
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->key, b->key);
     EXPECT_EQ(a->loss, b->loss);
@@ -343,9 +339,10 @@ TEST(ArgmaxPruningTest, CacheCountersAreCoherentAndAmortized) {
   EXPECT_EQ(total.fallback_rounds, 0);
   // Amortization: the tiered scan scores one box per tier (~sqrt(G))
   // plus the few surviving tiers per gap, so its total bound work must
-  // be far below the uncached per-round pre-pass. 4x is a loose floor —
-  // the sparse acceptance configs measure >= 10x per round.
-  EXPECT_LT(total.bound_evals * 4, uncached_total.bound_evals);
+  // be far below the one score per candidate endpoint that the
+  // exhaustive scan evaluates exactly. 4x is a loose floor — the sparse
+  // acceptance configs measure >= 10x per round.
+  EXPECT_LT(total.bound_evals * 4, exhaustive_total.exact_evals);
 }
 
 }  // namespace

@@ -294,7 +294,7 @@ TEST(DeletionAttackTest, IncrementalMatchesReferenceAcrossModes) {
   // The incremental engine (persistent landscape + pruned/batched
   // removal argmax) against the retained rebuild-per-round reference:
   // bit-equal removed keys, base/attacked losses and per-round loss
-  // trajectories for every prune x cache x thread-count combination,
+  // trajectories for every prune x thread-count combination,
   // restricted and unrestricted.
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     Rng rng(0xD311D1FF + seed);
@@ -314,29 +314,24 @@ TEST(DeletionAttackTest, IncrementalMatchesReferenceAcrossModes) {
     auto ref = GreedyDeleteCdfReference(*ks, d, deletable);
     ASSERT_TRUE(ref.ok()) << ref.status().message();
     for (const bool prune : {false, true}) {
-      for (const bool cache : {false, true}) {
-        for (const int threads : {1, 3}) {
-          AttackOptions options;
-          options.prune_argmax = prune;
-          options.cache_argmax = cache;
-          options.num_threads = threads;
-          auto got = GreedyDeleteCdf(*ks, d, deletable, options);
-          ASSERT_TRUE(got.ok()) << got.status().message();
-          const auto mode = [&] {
-            return " seed " + std::to_string(seed) + " prune " +
-                   std::to_string(prune) + " cache " +
-                   std::to_string(cache) + " threads " +
-                   std::to_string(threads);
-          };
-          EXPECT_EQ(got->removed_keys, ref->removed_keys) << mode();
-          EXPECT_EQ(got->base_loss, ref->base_loss) << mode();
-          EXPECT_EQ(got->attacked_loss, ref->attacked_loss) << mode();
-          ASSERT_EQ(got->loss_trajectory.size(),
-                    ref->loss_trajectory.size());
-          for (std::size_t i = 0; i < ref->loss_trajectory.size(); ++i) {
-            EXPECT_EQ(got->loss_trajectory[i], ref->loss_trajectory[i])
-                << mode() << " round " << i;
-          }
+      for (const int threads : {1, 3}) {
+        AttackOptions options;
+        options.prune_argmax = prune;
+        options.num_threads = threads;
+        auto got = GreedyDeleteCdf(*ks, d, deletable, options);
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        const auto mode = [&] {
+          return " seed " + std::to_string(seed) + " prune " +
+                 std::to_string(prune) + " threads " +
+                 std::to_string(threads);
+        };
+        EXPECT_EQ(got->removed_keys, ref->removed_keys) << mode();
+        EXPECT_EQ(got->base_loss, ref->base_loss) << mode();
+        EXPECT_EQ(got->attacked_loss, ref->attacked_loss) << mode();
+        ASSERT_EQ(got->loss_trajectory.size(), ref->loss_trajectory.size());
+        for (std::size_t i = 0; i < ref->loss_trajectory.size(); ++i) {
+          EXPECT_EQ(got->loss_trajectory[i], ref->loss_trajectory[i])
+              << mode() << " round " << i;
         }
       }
     }
@@ -366,29 +361,24 @@ TEST(ModificationAttackTest, IncrementalMatchesReferenceAcrossModes) {
     auto ref = GreedyModifyCdfReference(*ks, moves, movable);
     ASSERT_TRUE(ref.ok()) << ref.status().message();
     for (const bool prune : {false, true}) {
-      for (const bool cache : {false, true}) {
-        for (const int threads : {1, 3}) {
-          AttackOptions options;
-          options.prune_argmax = prune;
-          options.cache_argmax = cache;
-          options.num_threads = threads;
-          auto got = GreedyModifyCdf(*ks, moves, movable, options);
-          ASSERT_TRUE(got.ok()) << got.status().message();
-          const auto mode = [&] {
-            return " seed " + std::to_string(seed) + " prune " +
-                   std::to_string(prune) + " cache " +
-                   std::to_string(cache) + " threads " +
-                   std::to_string(threads);
-          };
-          EXPECT_EQ(got->moves, ref->moves) << mode();
-          EXPECT_EQ(got->base_loss, ref->base_loss) << mode();
-          EXPECT_EQ(got->attacked_loss, ref->attacked_loss) << mode();
-          ASSERT_EQ(got->loss_trajectory.size(),
-                    ref->loss_trajectory.size());
-          for (std::size_t i = 0; i < ref->loss_trajectory.size(); ++i) {
-            EXPECT_EQ(got->loss_trajectory[i], ref->loss_trajectory[i])
-                << mode() << " round " << i;
-          }
+      for (const int threads : {1, 3}) {
+        AttackOptions options;
+        options.prune_argmax = prune;
+        options.num_threads = threads;
+        auto got = GreedyModifyCdf(*ks, moves, movable, options);
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        const auto mode = [&] {
+          return " seed " + std::to_string(seed) + " prune " +
+                 std::to_string(prune) + " threads " +
+                 std::to_string(threads);
+        };
+        EXPECT_EQ(got->moves, ref->moves) << mode();
+        EXPECT_EQ(got->base_loss, ref->base_loss) << mode();
+        EXPECT_EQ(got->attacked_loss, ref->attacked_loss) << mode();
+        ASSERT_EQ(got->loss_trajectory.size(), ref->loss_trajectory.size());
+        for (std::size_t i = 0; i < ref->loss_trajectory.size(); ++i) {
+          EXPECT_EQ(got->loss_trajectory[i], ref->loss_trajectory[i])
+              << mode() << " round " << i;
         }
       }
     }

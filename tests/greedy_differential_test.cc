@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "attack/deletion_attack.h"
 #include "attack/greedy_poisoner.h"
 #include "attack/loss_landscape.h"
 #include "common/rng.h"
@@ -66,6 +67,23 @@ void ExpectIdenticalAttacks(const KeySet& keyset, std::int64_t p,
 
   EXPECT_EQ(fast->poison_keys,
             InlineReferenceGreedy(keyset, p, interior_only));
+}
+
+/// Every ArgmaxStats counter of two pooled runs. The parallel chunks are
+/// a pure function of the structure, not of the worker count, so the
+/// counters must agree across pool sizes (they differ from serial,
+/// which scans one chunk).
+void ExpectSameStats(const LossLandscape::ArgmaxStats& want,
+                     const LossLandscape::ArgmaxStats& got, int threads) {
+  EXPECT_EQ(got.rounds, want.rounds) << threads << " threads";
+  EXPECT_EQ(got.exact_evals, want.exact_evals) << threads << " threads";
+  EXPECT_EQ(got.bound_evals, want.bound_evals) << threads << " threads";
+  EXPECT_EQ(got.pruned_gaps, want.pruned_gaps) << threads << " threads";
+  EXPECT_EQ(got.cached_bounds, want.cached_bounds) << threads << " threads";
+  EXPECT_EQ(got.invalidated_gaps, want.invalidated_gaps)
+      << threads << " threads";
+  EXPECT_EQ(got.fallback_rounds, want.fallback_rounds)
+      << threads << " threads";
 }
 
 TEST(GreedyDifferentialTest, UniformKeysInterior) {
@@ -126,6 +144,7 @@ TEST(GreedyDifferentialTest, ParallelArgmaxIsThreadCountIndependent) {
   serial.num_threads = 1;
   auto baseline = GreedyPoisonCdf(*ks, 120, serial);
   ASSERT_TRUE(baseline.ok());
+  LossLandscape::ArgmaxStats pooled_stats;
   for (const int threads : {2, 3, 8}) {
     AttackOptions parallel;
     parallel.num_threads = threads;
@@ -138,6 +157,11 @@ TEST(GreedyDifferentialTest, ParallelArgmaxIsThreadCountIndependent) {
     for (std::size_t i = 0; i < baseline->loss_trajectory.size(); ++i) {
       EXPECT_EQ(got->loss_trajectory[i], baseline->loss_trajectory[i])
           << "round " << i << " with " << threads << " threads";
+    }
+    if (threads == 2) {
+      pooled_stats = got->argmax_stats;
+    } else {
+      ExpectSameStats(pooled_stats, got->argmax_stats, threads);
     }
   }
   // And the parallel selection still matches the rebuild-per-round
@@ -163,6 +187,33 @@ TEST(GreedyDifferentialTest, ParallelArgmaxClusteredKeys) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->poison_keys, b->poison_keys);
   EXPECT_EQ(a->poisoned_loss, b->poisoned_loss);
+}
+
+TEST(GreedyDifferentialTest, PooledDeletionIsWorkerCountIndependent) {
+  // The removal argmax fans out over key blocks in chunks of >= 2048
+  // keys: the removed keys match the serial scan, and the counters are
+  // the same at every pool size.
+  Rng rng(28);
+  auto ks = GenerateUniform(6000, KeyDomain{0, 1199999}, &rng);
+  ASSERT_TRUE(ks.ok());
+  auto serial = GreedyDeleteCdf(*ks, 40);
+  ASSERT_TRUE(serial.ok()) << serial.status().message();
+  LossLandscape::ArgmaxStats pooled_stats;
+  for (const int threads : {2, 3}) {
+    AttackOptions parallel;
+    parallel.num_threads = threads;
+    auto got = GreedyDeleteCdf(*ks, 40, /*deletable=*/{}, parallel);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    EXPECT_EQ(got->removed_keys, serial->removed_keys)
+        << threads << " threads";
+    EXPECT_EQ(got->attacked_loss, serial->attacked_loss)
+        << threads << " threads";
+    if (threads == 2) {
+      pooled_stats = got->argmax_stats;
+    } else {
+      ExpectSameStats(pooled_stats, got->argmax_stats, threads);
+    }
+  }
 }
 
 TEST(GreedyDifferentialTest, ExhaustionErrorsMatch) {

@@ -1,7 +1,7 @@
 // Stateful property harness for the fully dynamic incremental argmax
 // engine: hundreds of seeded random operation sequences — InsertKey /
 // RemoveKey / ReplaceKey commits, FindOptimal and FindOptimalRemoval
-// scans with per-call random interior/thread-count/prune/cache
+// scans with per-call random interior/thread-count/prune
 // settings, occasional excluded-key / restricted-allowed scans and
 // duplicate-insert / missing-removal probes — replayed against a
 // *flat-vector + full-evaluation oracle* (sorted std::vector<Key> plus
@@ -10,16 +10,13 @@
 // candidate (key and long-double loss), and the ArgmaxStats counters
 // must satisfy the engine's accounting contracts:
 //
-//   * prune off        -> no bound work, exact_evals == oracle candidates
-//   * prune, cache off -> bound_evals == oracle candidates, no cache work
-//   * prune + cache    -> cached_bounds + invalidated_gaps == gaps in
-//                         the scanned range (every gap is dispositioned
-//                         exactly once), zero fallbacks
-//   * removal scans    -> flat pruned: bound_evals == allowed
-//                         candidates; tiered (cache): every stored key
-//                         dispositioned exactly once by its block's
-//                         chord bound or per-key re-scoring
-//                         (cached_bounds + invalidated_gaps == n)
+//   * prune off      -> no bound work, exact_evals == oracle candidates
+//   * prune (tiered) -> cached_bounds + invalidated_gaps == gaps in
+//                       the scanned range (every gap is dispositioned
+//                       exactly once), zero fallbacks
+//   * removal scans  -> every stored key dispositioned exactly once by
+//                       its block's chord bound or per-key re-scoring
+//                       (cached_bounds + invalidated_gaps == n)
 //
 // and every InsertKey splice / RemoveKey merge must move O(sqrt(G)) gap
 // records, not O(G) — asserted through the engine's splice-work counter
@@ -59,7 +56,7 @@ struct OracleScan {
 
 /// The reference model: a flat sorted key vector. Every scan rebuilds
 /// the exact aggregates from scratch and evaluates every gap endpoint —
-/// the "flat-vector + full pre-pass" ground truth the tiered engine
+/// the "flat-vector + full evaluation" ground truth the tiered engine
 /// must bit-match. Loss values are computed through the same public
 /// Aggregates arithmetic, whose shift-invariance (pinned by
 /// loss_landscape_incremental_test) makes bit-equality well-defined
@@ -297,7 +294,6 @@ void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
                                               pool_pick - 1)];
       LossLandscape::ArgmaxOptions argmax;
       argmax.prune = rng.UniformInt(0, 3) != 0;   // 3/4 pruned
-      argmax.cache = rng.UniformInt(0, 1) != 0;   // 1/2 block-tiered.
       std::unordered_set<Key> allowed_set;
       const std::unordered_set<Key>* allowed = nullptr;
       if (rng.UniformInt(0, 2) == 0) {
@@ -333,16 +329,6 @@ void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
         EXPECT_EQ(d(&LossLandscape::ArgmaxStats::exact_evals),
                   want.candidates)
             << "seed " << seed << " op " << op;
-      } else if (!argmax.cache) {
-        // Flat pruned scan: every allowed candidate scored once, no
-        // block cache.
-        EXPECT_EQ(d(&LossLandscape::ArgmaxStats::bound_evals),
-                  want.candidates)
-            << "seed " << seed << " op " << op;
-        EXPECT_EQ(d(&LossLandscape::ArgmaxStats::cached_bounds), 0);
-        EXPECT_EQ(d(&LossLandscape::ArgmaxStats::invalidated_gaps), 0);
-        EXPECT_LE(d(&LossLandscape::ArgmaxStats::pruned_gaps),
-                  want.candidates);
       } else {
         // Tiered scan: every stored key dispositioned exactly once,
         // either by its block's chord bound or by per-key re-scoring.
@@ -373,7 +359,6 @@ void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
                                               pool_pick - 1)];
       LossLandscape::ArgmaxOptions argmax;
       argmax.prune = rng.UniformInt(0, 3) != 0;   // 3/4 pruned
-      argmax.cache = rng.UniformInt(0, 3) != 0;   // 3/4 tiered
       std::unordered_set<Key> excluded_set;
       const std::unordered_set<Key>* excluded = nullptr;
       if (rng.UniformInt(0, 7) == 0) {
@@ -411,13 +396,6 @@ void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
         EXPECT_EQ(d(&LossLandscape::ArgmaxStats::exact_evals),
                   want.candidates)
             << "seed " << seed << " op " << op;
-      } else if (!argmax.cache) {
-        // PR 3 pre-pass: every non-excluded endpoint scored once.
-        EXPECT_EQ(d(&LossLandscape::ArgmaxStats::bound_evals),
-                  want.candidates)
-            << "seed " << seed << " op " << op;
-        EXPECT_EQ(d(&LossLandscape::ArgmaxStats::cached_bounds), 0);
-        EXPECT_EQ(d(&LossLandscape::ArgmaxStats::invalidated_gaps), 0);
       } else {
         // Tiered scan: every in-range gap dispositioned exactly once,
         // either by its tier's range bound or by per-gap re-scoring.

@@ -30,18 +30,10 @@ namespace {
 //    Running this same test under -fsanitize=address exercises that
 //    path; no separate test body is required.
 
-struct OptionGrid {
-  bool prune;
-  bool cache;
-};
-
-constexpr OptionGrid kGrid[] = {
-    {true, true}, {true, false}, {false, false}};
-
-LossLandscape::ArgmaxOptions MakeOptions(const OptionGrid& g) {
+// The tiered scan (prune on) and the exhaustive scan (prune off).
+LossLandscape::ArgmaxOptions MakeOptions(bool prune) {
   LossLandscape::ArgmaxOptions o;
-  o.prune = g.prune;
-  o.cache = g.cache;
+  o.prune = prune;
   return o;
 }
 
@@ -49,11 +41,11 @@ TEST(ScratchCanaryTest, PoisonedScratchNeverLeaksIntoInsertionArgmax) {
   Rng rng(51);
   auto ks = GenerateUniform(3000, KeyDomain{0, 300'000}, &rng);
   ASSERT_TRUE(ks.ok());
-  for (const OptionGrid& g : kGrid) {
+  for (const bool prune : {true, false}) {
     auto clean = LossLandscape::Create(*ks);
     auto dirty = LossLandscape::Create(*ks);
     ASSERT_TRUE(clean.ok() && dirty.ok());
-    const LossLandscape::ArgmaxOptions argmax = MakeOptions(g);
+    const LossLandscape::ArgmaxOptions argmax = MakeOptions(prune);
     LossLandscape::ArgmaxStats clean_stats;
     LossLandscape::ArgmaxStats dirty_stats;
     for (int round = 0; round < 40; ++round) {
@@ -81,11 +73,11 @@ TEST(ScratchCanaryTest, PoisonedScratchNeverLeaksIntoRemovalArgmax) {
   Rng rng(52);
   auto ks = GenerateUniform(4000, KeyDomain{0, 400'000}, &rng);
   ASSERT_TRUE(ks.ok());
-  for (const OptionGrid& g : kGrid) {
+  for (const bool prune : {true, false}) {
     auto clean = LossLandscape::Create(*ks);
     auto dirty = LossLandscape::Create(*ks);
     ASSERT_TRUE(clean.ok() && dirty.ok());
-    const LossLandscape::ArgmaxOptions argmax = MakeOptions(g);
+    const LossLandscape::ArgmaxOptions argmax = MakeOptions(prune);
     LossLandscape::ArgmaxStats clean_stats;
     LossLandscape::ArgmaxStats dirty_stats;
     for (int round = 0; round < 40; ++round) {
@@ -121,7 +113,7 @@ TEST(ScratchCanaryTest, PoisonSurvivesMixedCommitsAndShrinkingNeeds) {
   auto clean = LossLandscape::Create(*ks);
   auto dirty = LossLandscape::Create(*ks);
   ASSERT_TRUE(clean.ok() && dirty.ok());
-  const LossLandscape::ArgmaxOptions argmax;  // prune + cache (default).
+  const LossLandscape::ArgmaxOptions argmax;  // The tiered scan (default).
   for (int round = 0; round < 60; ++round) {
     const bool removal = round % 3 == 2;
     if (removal) {

@@ -22,7 +22,8 @@ Two metrics:
     before/after checks.
 
 Benchmarks present in only one file are reported but never fatal (the
-suite grows over time). Usage:
+suite grows over time). No benchmark present in both files is fatal: a
+rename on one side would otherwise switch the gate off silently. Usage:
 
   tools/bench_compare.py BASELINE.json FRESH.json \
       [--threshold 0.20] [--metric speedup|time] [--filter REGEX]
@@ -132,7 +133,7 @@ def main():
               f"'{args.filter}' — nothing to gate", file=sys.stderr)
         for name in skipped:
             print(f"  unpaired: {name}", file=sys.stderr)
-        return 0
+        return 1
 
     failures = []
     for name in shared:

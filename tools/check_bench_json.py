@@ -8,36 +8,37 @@ report shape the rest of the tooling depends on:
     (exact_evals / bound_evals / pruned_gaps / cached_bounds /
     invalidated_gaps / fallback_rounds) plus the threading metadata
     (num_threads, hardware_concurrency);
-  * prune on/off and cache on/off siblings of the same configuration
-    agree on the attack outcome (ratio_loss) — neither pruning nor the
-    tiered bound cache may ever change results;
-  * the cache-on arm's bound/exact work stays within a bounded factor
-    of the cache-off pre-pass even on dense configs, and the prune-off
-    arm does no bound work at all;
+  * prune on/off siblings of the same configuration agree on the attack
+    outcome (ratio_loss) — the tiered scan may never change results;
+  * the pruned (tiered) arm makes no more exact evaluations than the
+    exhaustive arm, and its bound work stays within 2x of the
+    exhaustive arm's exact evaluations (one score per candidate) even
+    on dense configs; the prune-off arm does no bound work at all;
   * tools/bench_compare.py can pair every incremental entry with its
     reference sibling and compute speedups (the CI regression gate).
 
 With a second argument — the committed BENCH_attack_throughput.json —
 it additionally asserts the committed-trajectory acceptance criteria:
 
-  * every serial (threads = 1) incremental row of the smoke run that
-    the committed report also holds reproduces its argmax counters
-    (exact_evals, bound_evals, pruned_gaps, cached_bounds,
-    invalidated_gaps, fallback_rounds) and its attack outcome exactly —
-    the serial scan is deterministic, so any drift is a behaviour
-    change of the argmax, not noise;
-  * ISSUE 4: on the sparse n=100k insertion configs (uniform and
-    log-normal, serial, pruned) the cache-on arm's bound_evals are
-    >= 10x below the cache-off arm's;
-  * ISSUE 5: the incremental GreedyDeleteCdf at n=100k is >= 10x faster
+  * every serial (threads = 1) incremental row of the smoke run
+    reproduces the argmax counters (exact_evals, bound_evals,
+    pruned_gaps, cached_bounds, invalidated_gaps, fallback_rounds) and
+    the attack outcome of its committed counterpart exactly — the
+    serial scan is deterministic, so any drift is a behaviour change of
+    the argmax, not noise; a smoke row the committed report lacks
+    fails, so the pinned set cannot shrink unnoticed;
+  * on the sparse n=100k insertion configs (uniform and log-normal,
+    serial) the tiered arm's bound_evals are >= 10x below the
+    prune-off arm's exact_evals (one evaluation per candidate);
+  * the incremental GreedyDeleteCdf at n=100k is >= 10x faster
     (wall-clock) than the rebuild-per-round deletion reference, with
-    outcome-identical prune/cache arms.
+    outcome-identical prune arms.
 
 The update-stream configs (BM_GreedyDeleteCdf_*, BM_GreedyModifyCdf_*)
-share the 6-arg (dataset, n, budget, threads, prune, cache) layout and
-the full counter contract: the removal argmax's cache mode is the
-block-chord tiered scan, whose cached/invalidated counters obey the
-same disposition invariant as the insertion tier cache.
+share the 5-arg (dataset, n, budget, threads, prune) layout and the
+full counter contract: the pruned removal argmax is the block-chord
+tiered scan, whose cached/invalidated counters obey the same
+disposition invariant as the insertion tier scan.
 
 Registered as a ctest (bench_attack_json_golden) so the structure is
 checked by the tier-1 suite, including the sanitizer matrix. Usage:
@@ -147,7 +148,7 @@ REQUIRED_COUNTERS = PINNED_COUNTERS + (
 
 
 def split_args(name):
-    """'BM_X/1/100000/1000/1/1/0' -> ('BM_X', (1, 100000, 1000, 1, 1, 0))."""
+    """'BM_X/1/100000/1000/1/0' -> ('BM_X', (1, 100000, 1000, 1, 0))."""
     parts = name.split("/")
     return parts[0], tuple(int(p) for p in parts[1:])
 
@@ -173,69 +174,49 @@ def outcome(entry):
 def check_entries(entries, require_pairs):
     """Outcome-identity and counter checks over incremental entries.
 
-    Incremental args are (dataset, n, p_or_models, threads, prune, cache).
-    Returns (prune_pairs, cache_pairs).
+    Incremental args are (dataset, n, p_or_models, threads, prune).
+    Returns the number of prune on/off pairs.
     """
-    prune_pairs = cache_pairs = 0
+    prune_pairs = 0
     for name, entry in entries.items():
         base, args = split_args(name)
-        if "_Incremental" not in base or len(args) != 6:
+        if "_Incremental" not in base or len(args) != 5:
             continue
-        prune, cache = args[4], args[5]
-        if prune == 0:
+        if args[4] == 0:
             assert entry["bound_evals"] == 0, f"{name} (prune off) scored bounds"
             assert entry["cached_bounds"] == 0 and entry["invalidated_gaps"] == 0, (
-                f"{name} (prune off) touched the tier cache counters"
+                f"{name} (prune off) touched the tier counters"
             )
-        if prune == 1:
-            # A pruned arm that silently degenerates to the exhaustive
-            # fallback every round would pass the outcome checks; it
-            # must actually score bounds.
-            assert entry["bound_evals"] > 0, (
-                f"{name} (prune on) never scored a bound"
-            )
-        if prune == 1 and cache == 0:
-            assert entry["cached_bounds"] == 0 and entry["invalidated_gaps"] == 0, (
-                f"{name} (cache off) touched the tier cache counters"
-            )
-        if prune == 1 and cache == 1:
-            assert entry["cached_bounds"] + entry["invalidated_gaps"] > 0, (
-                f"{name} (cache on) never dispositioned a gap"
-            )
-        # Prune pair: same config, prune flipped (cache-off arms).
-        if prune == 1 and cache == 0:
-            off_name = sibling(entries, name, 4, 0)
-            if off_name is not None:
-                off = entries[off_name]
-                prune_pairs += 1
-                assert outcome(entry) == outcome(off), (
-                    f"pruning changed the attack outcome: {name}"
-                )
-                assert entry["exact_evals"] <= off["exact_evals"], (
-                    f"pruning increased exact evaluations: {name}"
-                )
-        # Cache pair: same pruned config, cache flipped.
-        if prune == 1 and cache == 1:
-            off_name = sibling(entries, name, 5, 0)
-            if off_name is not None:
-                off = entries[off_name]
-                cache_pairs += 1
-                assert outcome(entry) == outcome(off), (
-                    f"the bound cache changed the attack outcome: {name}"
-                )
-                # Dense configs (few gaps, few skippable tiers) may pay
-                # a bounded overhead; the >= 10x sparse win is asserted
-                # on the committed baseline below.
-                assert entry["bound_evals"] <= off["bound_evals"] * 2, (
-                    f"the tiered cache blew up bound work: {name}"
-                )
-                assert entry["exact_evals"] <= off["exact_evals"] * 2, (
-                    f"the tiered cache blew up exact evaluations: {name}"
-                )
+            continue
+        # A pruned arm that silently degenerates to the exhaustive
+        # fallback every round would pass the outcome checks; it must
+        # actually score bounds and disposition units through the tiers.
+        assert entry["bound_evals"] > 0, f"{name} (prune on) never scored a bound"
+        assert entry["cached_bounds"] + entry["invalidated_gaps"] > 0, (
+            f"{name} (prune on) never dispositioned a gap"
+        )
+        # Prune pair: same config, prune flipped.
+        off_name = sibling(entries, name, 4, 0)
+        if off_name is None:
+            continue
+        off = entries[off_name]
+        prune_pairs += 1
+        assert outcome(entry) == outcome(off), (
+            f"pruning changed the attack outcome: {name}"
+        )
+        assert entry["exact_evals"] <= off["exact_evals"], (
+            f"pruning increased exact evaluations: {name}"
+        )
+        # The exhaustive arm evaluates every candidate once, the count a
+        # per-candidate bound pass would score. Dense configs (few gaps,
+        # few skippable tiers) may pay a bounded overhead on top; the
+        # >= 10x sparse win is asserted on the committed baseline below.
+        assert entry["bound_evals"] <= off["exact_evals"] * 2, (
+            f"the tiered scan blew up bound work: {name}"
+        )
     if require_pairs:
         assert prune_pairs > 0, "no prune on/off sibling pair found"
-        assert cache_pairs > 0, "no cache on/off sibling pair found"
-    return prune_pairs, cache_pairs
+    return prune_pairs
 
 
 def load_entries(path_or_report):
@@ -254,18 +235,20 @@ def load_entries(path_or_report):
 def check_pinned_counters(fresh, path):
     """Serial incremental rows of the fresh run match the committed ones.
 
-    Rows are (dataset, n, budget, threads, prune, cache); only
-    threads == 1 rows are compared, because a pooled scan's counters
-    depend on the recording machine's core count.
+    Rows are (dataset, n, budget, threads, prune); only threads == 1
+    rows are compared, because a pooled scan's counters depend on the
+    recording machine's core count. Every such row must have a
+    committed counterpart.
     """
     committed = load_entries(path)
     pinned = 0
     for name, entry in fresh.items():
         base, args = split_args(name)
-        if "_Incremental" not in base or len(args) != 6 or args[3] != 1:
+        if "_Incremental" not in base or len(args) != 5 or args[3] != 1:
             continue
-        if name not in committed:
-            continue
+        assert name in committed, (
+            f"{name}: serial smoke row has no committed counterpart in {path}"
+        )
         want = committed[name]
         for counter in PINNED_COUNTERS:
             assert entry[counter] == want[counter], (
@@ -282,33 +265,37 @@ def check_pinned_counters(fresh, path):
 
 
 def check_committed_baseline(path):
-    """Committed-trajectory acceptance gates (ISSUE 4 + ISSUE 5)."""
+    """Committed-trajectory acceptance gates: the sparse bound-work win
+    and the deletion wall-clock win."""
     entries = load_entries(path)
     sparse = [
-        f"{GREEDY_INCREMENTAL}/{dataset}/100000/1000/1/1/1"
+        f"{GREEDY_INCREMENTAL}/{dataset}/100000/1000/1/1"
         for dataset in (1, 2)  # kUniform, kLogNormal
     ]
     checked = 0
     for name in sparse:
         assert name in entries, f"committed baseline lacks {name}"
-        off_name = sibling(entries, name, 5, 0)
-        assert off_name is not None, f"committed baseline lacks {name}'s cache-off arm"
+        off_name = sibling(entries, name, 4, 0)
+        assert off_name is not None, f"committed baseline lacks {name}'s prune-off arm"
         on, off = entries[name], entries[off_name]
-        assert on["bound_evals"] * 10 <= off["bound_evals"], (
-            f"committed baseline: cache-on bound_evals not >=10x below "
-            f"cache-off for {name} ({on['bound_evals']} vs {off['bound_evals']})"
+        # The prune-off arm evaluates every candidate exactly once: the
+        # bound work a per-candidate bound pass would do.
+        assert on["bound_evals"] * 10 <= off["exact_evals"], (
+            f"committed baseline: tiered bound_evals not >=10x below the "
+            f"prune-off exact_evals for {name} "
+            f"({on['bound_evals']} vs {off['exact_evals']})"
         )
         assert on["ratio_loss"] == off["ratio_loss"], (
-            f"committed baseline: cache changed the outcome for {name}"
+            f"committed baseline: pruning changed the outcome for {name}"
         )
         checked += 1
 
-    # ISSUE 5: deletion on the incremental engine >= 10x the
-    # rebuild-per-round reference wall-clock at n=100k, outcomes
-    # identical across the prune/cache arms.
+    # Deletion on the incremental engine >= 10x the rebuild-per-round
+    # reference wall-clock at n=100k, outcomes identical across the
+    # prune arms.
     deletion_gates = 0
     for dataset in (1, 2):  # kUniform, kLogNormal
-        inc_name = f"{DELETE_INCREMENTAL}/{dataset}/100000/200/1/1/1"
+        inc_name = f"{DELETE_INCREMENTAL}/{dataset}/100000/200/1/1"
         ref_name = f"{DELETE_REFERENCE}/{dataset}/100000/200"
         assert inc_name in entries, f"committed baseline lacks {inc_name}"
         assert ref_name in entries, f"committed baseline lacks {ref_name}"
@@ -326,7 +313,7 @@ def check_committed_baseline(path):
 
     check_entries(entries, require_pairs=True)
     print(
-        f"committed baseline OK: {checked} sparse cache pairs >= 10x, "
+        f"committed baseline OK: {checked} sparse prune pairs >= 10x, "
         f"{deletion_gates} deletion wall-clock gates >= 10x"
     )
 
@@ -692,9 +679,9 @@ def check_attack_10m(path):
     show ~100x and fail loudly.
     """
     entries = load_entries(path)
-    big_insert = f"{GREEDY_INCREMENTAL}/1/10000000/200/1/1/1"
-    big_delete = f"{DELETE_INCREMENTAL}/1/10000000/200/1/1/1"
-    small_delete = f"{DELETE_INCREMENTAL}/1/100000/200/1/1/1"
+    big_insert = f"{GREEDY_INCREMENTAL}/1/10000000/200/1/1"
+    big_delete = f"{DELETE_INCREMENTAL}/1/10000000/200/1/1"
+    small_delete = f"{DELETE_INCREMENTAL}/1/100000/200/1/1"
     for name in (big_insert, big_delete, small_delete):
         assert name in entries, f"committed baseline lacks the scale row {name}"
     for name in (big_insert, big_delete):
@@ -759,7 +746,7 @@ def main():
             [
                 bench,
                 # Dense n=10^4 configs only (insertion, deletion,
-                # modification prune/cache arms + references, and the
+                # modification prune arms + references, and the
                 # RMI attack, whose per-model scans take the excluded-key
                 # small-tier path): cheap enough for sanitizer builds.
                 # The trailing slash anchors the arg — google-benchmark
@@ -798,7 +785,7 @@ def main():
         for counter in REQUIRED_COUNTERS:
             assert counter in entry, f"{name} is missing counter {counter}"
 
-    prune_pairs, cache_pairs = check_entries(entries, require_pairs=True)
+    prune_pairs = check_entries(entries, require_pairs=True)
 
     # The CI regression gate must be able to pair and rate every
     # incremental entry despite the extra trailing args.
@@ -809,7 +796,7 @@ def main():
 
     print(
         f"bench JSON golden OK: {len(incremental)} incremental entries, "
-        f"{prune_pairs} prune pair(s), {cache_pairs} cache pair(s), "
+        f"{prune_pairs} prune pair(s), "
         f"{len(speedups)} speedup(s)"
     )
 
