@@ -297,6 +297,13 @@ void BM_PoisonRmi_Incremental(benchmark::State& state) {
     state.counters["rmi_ratio_loss"] = r->rmi_ratio_loss;
     state.counters["exchanges"] = static_cast<double>(r->exchanges_applied);
     ReportArgmax(state, r->argmax_stats);
+    // The exchange simulations' receiver-side scans, and whether the
+    // max_exchanges cap (not epsilon) ended the exchange loop.
+    state.counters["xchg_exact_evals"] =
+        static_cast<double>(r->exchange_stats.exact_evals);
+    state.counters["xchg_bound_evals"] =
+        static_cast<double>(r->exchange_stats.bound_evals);
+    state.counters["cap_hit"] = r->exchange_cap_hit ? 1 : 0;
   }
   ReportThreads(state, num_threads);
 }
@@ -389,7 +396,10 @@ BENCHMARK(BM_GreedyModifyCdf_Reference)
     ->Args({kUniform, 100000, 100});
 // Dense runs saturate the per-model budget at paper scale (most models
 // own a fully contiguous span with no interior candidate), so the RMI
-// configurations use the paper's skewed and uniform workloads.
+// configurations use the paper's skewed and uniform workloads. Their
+// prune pairs also gate the exchange phase: tools/check_bench_json.py
+// asserts >= 10x fewer xchg_exact_evals with pruning on the committed
+// baseline.
 BENCHMARK(BM_PoisonRmi_Incremental)
     ->Unit(benchmark::kMillisecond)
     ->Args({kDenseRuns, 10000, 20, 1, 1})

@@ -397,19 +397,6 @@ Status LossLandscape::ReplaceKey(Key from, Key to) {
   return Status::OK();
 }
 
-long double LossLandscape::LossWithInsertion(Key kp, Rank count_less,
-                                             Int128 suffix_sum) const {
-  const std::int64_t n1 = n_ + 1;
-  const Int128 kp_s = static_cast<Int128>(kp) - shift_;
-  const Int128 sum_x = sum_k_ + kp_s;
-  const Int128 sum_x2 = sum_k2_ + kp_s * kp_s;
-  // Every legitimate key above kp gains one rank, adding its (shifted)
-  // value once to sum(XY); kp itself enters with rank count_less + 1.
-  const Int128 sum_xy = sum_kr_ + suffix_sum + kp_s * (count_less + 1);
-  return LossFromSums(n1, sum_x, sum_x2, SumRanks(n1), SumRankSquares(n1),
-                      sum_xy);
-}
-
 Result<long double> LossLandscape::LossAt(Key kp) const {
   if (!domain_.Contains(kp)) {
     return Status::OutOfRange("poisoning key " + std::to_string(kp) +
@@ -424,7 +411,8 @@ Result<long double> LossLandscape::LossAt(Key kp) const {
                                    " is already occupied");
   }
   const PrefixStats stats = PrefixAt(kp);
-  return LossWithInsertion(kp, stats.count_less, sum_k_ - stats.prefix_sum);
+  return aggregates().LossAfterInsert(kp, stats.count_less,
+                                      sum_k_ - stats.prefix_sum);
 }
 
 std::vector<Key> LossLandscape::GapEndpoints(bool interior_only) const {
@@ -445,13 +433,14 @@ std::vector<std::pair<Key, long double>> LossLandscape::Sweep(
   if (lo > hi) return out;
   out.reserve(static_cast<std::size_t>(
       std::min<std::int64_t>(hi - lo + 1, kSweepReserveCap)));
+  const Aggregates agg = aggregates();
   ForEachGapInRange(lo, hi,
-                    [this, &out](Key glo, Key ghi, Rank count_less,
+                    [&agg, &out](Key glo, Key ghi, Rank count_less,
                                  Int128 prefix_sum) {
-                      const Int128 suffix = sum_k_ - prefix_sum;
+                      const Int128 suffix = agg.sum_k - prefix_sum;
                       for (Key kp = glo; kp <= ghi; ++kp) {
                         out.emplace_back(
-                            kp, LossWithInsertion(kp, count_less, suffix));
+                            kp, agg.LossAfterInsert(kp, count_less, suffix));
                       }
                     });
   return out;
@@ -1194,6 +1183,7 @@ struct LossLandscape::GapSource {
   static constexpr std::size_t kSoaLanes = 4;
 
   const LossLandscape& ll;
+  const GapSnapshot& snap;
   const std::vector<GapGroup>& groups;
   const BoundCtx& ctx;
   const std::unordered_set<Key>* excluded;
@@ -1212,18 +1202,29 @@ struct LossLandscape::GapSource {
   bool Excluded(Key k) const {
     return excluded != nullptr && excluded->count(k) != 0;
   }
+  /// What turns a record of tier \p t into the snapshot's count of
+  /// keys below it and their shifted sum.
+  Rank CountOffset(const TieredGaps::Tier& t) const {
+    return t.delta_cnt - snap.rank_adj;
+  }
+  Int128 SumOffset(const TieredGaps::Tier& t) const {
+    return t.delta_sum - snap.prefix_adj;
+  }
 
-  /// The covariance left-tangent bound over the whole tier's key range
-  /// (BoundCtx::UpperRange), from the tier's first gap record. It
+  /// The covariance left-tangent bound over the tier's key range
+  /// (BoundCtx::UpperRange), from the tier's first gap record, or from
+  /// the group's first when the tier's lies below a removed minimum. It
   /// ignores `excluded`: an excluded endpoint only makes it an
   /// admissible over-estimate.
   double GroupBound(std::size_t g) const {
     const TieredGaps::Tier& t = TierOf(g);
-    const TieredGaps::GapRec& front = t.gaps.front();
-    return ctx.UpperRange(static_cast<double>(t.lo - ll.shift_),
-                          static_cast<double>(t.hi - t.lo),
-                          static_cast<double>(front.cnt + t.delta_cnt + 1),
-                          static_cast<double>(front.sum + t.delta_sum));
+    const TieredGaps::GapRec& front = t.gaps.front().lo < snap.valid_from
+                                          ? t.gaps[groups[g].begin]
+                                          : t.gaps.front();
+    return ctx.UpperRange(static_cast<double>(front.lo - ll.shift_),
+                          static_cast<double>(t.hi - front.lo),
+                          static_cast<double>(front.cnt + CountOffset(t) + 1),
+                          static_cast<double>(front.sum + SumOffset(t)));
   }
 
   /// max(bound(lo), bound(hi)) per gap over its non-excluded endpoints.
@@ -1238,7 +1239,9 @@ struct LossLandscape::GapSource {
     const TieredGaps::GapRec* gaps = t.gaps.data() + groups[g].begin;
     const auto m = static_cast<std::size_t>(Units(g));
     const Key shift = ll.shift_;
-    const Int128 sum_k = ll.sum_k_;
+    const Int128 sum_k = snap.agg.sum_k;
+    const Rank cnt_off = CountOffset(t) + 1;
+    const Int128 sum_off = SumOffset(t);
     if (excluded == nullptr && m >= kBatchMinTierGaps && m == t.gaps.size()) {
       double* x_lo = soa;
       double* x_hi = soa + m;
@@ -1248,8 +1251,8 @@ struct LossLandscape::GapSource {
       for (std::size_t j = 0; j < m; ++j) {
         x_lo[j] = static_cast<double>(gaps[j].lo - shift);
         x_hi[j] = static_cast<double>(gaps[j].hi - shift);
-        c1[j] = static_cast<double>(gaps[j].cnt + t.delta_cnt + 1);
-        s[j] = static_cast<double>(sum_k - (gaps[j].sum + t.delta_sum));
+        c1[j] = static_cast<double>(gaps[j].cnt + cnt_off);
+        s[j] = static_cast<double>(sum_k - (gaps[j].sum + sum_off));
         evals += gaps[j].hi != gaps[j].lo ? 2 : 1;
       }
       stats->bound_evals += evals;
@@ -1263,8 +1266,8 @@ struct LossLandscape::GapSource {
     }
     for (std::size_t j = 0; j < m; ++j) {
       const TieredGaps::GapRec& r = gaps[j];
-      const double c1 = static_cast<double>(r.cnt + t.delta_cnt + 1);
-      const double s = static_cast<double>(sum_k - (r.sum + t.delta_sum));
+      const double c1 = static_cast<double>(r.cnt + cnt_off);
+      const double s = static_cast<double>(sum_k - (r.sum + sum_off));
       double bnd = -std::numeric_limits<double>::infinity();
       if (!Excluded(r.lo)) {
         bnd = ctx.Upper(static_cast<double>(r.lo - shift), c1, s);
@@ -1284,11 +1287,11 @@ struct LossLandscape::GapSource {
     const TieredGaps::Tier& t = TierOf(g);
     const TieredGaps::GapRec& r =
         t.gaps[groups[g].begin + static_cast<std::size_t>(j)];
-    const Rank count_less = r.cnt + t.delta_cnt;
-    const Int128 suffix = ll.sum_k_ - (r.sum + t.delta_sum);
+    const Rank count_less = r.cnt + CountOffset(t);
+    const Int128 suffix = snap.agg.sum_k - (r.sum + SumOffset(t));
     auto offer = [&](Key kp) {
       if (Excluded(kp)) return;
-      fold->Offer(kp, ll.LossWithInsertion(kp, count_less, suffix));
+      fold->Offer(kp, snap.agg.LossAfterInsert(kp, count_less, suffix));
       ++stats->exact_evals;
     };
     offer(r.lo);
@@ -1330,9 +1333,48 @@ bool LossLandscape::PruneDomainOk() const {
 Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
     bool interior_only, const std::unordered_set<Key>* excluded,
     ThreadPool* pool, const ArgmaxOptions& argmax, ArgmaxStats* stats) const {
+  GapSnapshot snap;
+  snap.agg = aggregates();
+  snap.lo = interior_only ? min_key_ + 1 : domain_.lo;
+  snap.hi = interior_only ? max_key_ - 1 : domain_.hi;
+  snap.valid_from = domain_.lo;
+  return ScanGaps(snap, excluded, pool, argmax, stats);
+}
+
+Result<LossLandscape::Candidate> LossLandscape::FindOptimalWithoutEdge(
+    Edge edge, Key key, const std::unordered_set<Key>* excluded,
+    const ArgmaxOptions& argmax, ArgmaxStats* stats) const {
+  if (n_ < 2) {
+    return Status::FailedPrecondition(
+        "taking an edge key out needs at least two stored keys");
+  }
+  GapSnapshot snap;
+  snap.agg = aggregates();
+  snap.valid_from = domain_.lo;
+  if (edge == Edge::kMin) {
+    snap.agg.RemoveSmallest(key);
+    snap.lo = SecondMinKey() + 1;
+    snap.hi = max_key_ - 1;
+    // Every candidate lies above the removed key, which its record
+    // still counts; records below it count nothing to remove.
+    snap.rank_adj = 1;
+    snap.prefix_adj = static_cast<Int128>(key) - shift_;
+    snap.valid_from = key;
+  } else {
+    snap.agg.RemoveLargest(key);
+    snap.lo = min_key_ + 1;
+    snap.hi = SecondMaxKey() - 1;
+  }
+  return ScanGaps(snap, excluded, /*pool=*/nullptr, argmax, stats);
+}
+
+Result<LossLandscape::Candidate> LossLandscape::ScanGaps(
+    const GapSnapshot& snap, const std::unordered_set<Key>* excluded,
+    ThreadPool* pool, const ArgmaxOptions& argmax, ArgmaxStats* stats) const {
   ArgmaxStats local;
   local.rounds = 1;
-  const BoundCtx ctx = BoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
+  const BoundCtx ctx = BoundCtx::Make(snap.agg.n, snap.agg.sum_k,
+                                      snap.agg.sum_k2, snap.agg.sum_kr);
   const ScanMode mode =
       PickScanMode(argmax, PruneDomainOk() && ctx.usable, &local);
 
@@ -1340,8 +1382,8 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
   // range ends at an occupied key or a domain edge, so it never clips a
   // gap and membership is a whole-gap test; only the edge tiers have
   // out-of-range gaps.
-  const Key lo = interior_only ? min_key_ + 1 : domain_.lo;
-  const Key hi = interior_only ? max_key_ - 1 : domain_.hi;
+  const Key lo = snap.lo;
+  const Key hi = snap.hi;
   const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
   auto& groups = PrepareScratch(&argmax_gap_groups_, tiers.size());
   std::int64_t units = 0;
@@ -1359,8 +1401,8 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
   }
 
   const ArgmaxFold fold =
-      RunArgmax(GapSource{*this, groups, ctx, excluded, units}, mode, pool,
-                &local);
+      RunArgmax(GapSource{*this, snap, groups, ctx, excluded, units}, mode,
+                pool, &local);
   if (stats != nullptr) stats->Add(local);
   if (!fold.have) {
     return Status::ResourceExhausted(
@@ -1588,6 +1630,8 @@ long double LossLandscape::Aggregates::LossAfterInsert(
     Key kp, Rank count_less, Int128 suffix_sum) const {
   const std::int64_t n1 = n + 1;
   const Int128 kp_s = static_cast<Int128>(kp) - shift;
+  // Every key above kp gains one rank, adding its (shifted) value once
+  // to sum(XY); kp itself enters with rank count_less + 1.
   return LossFromSums(n1, sum_k + kp_s, sum_k2 + kp_s * kp_s, SumRanks(n1),
                       SumRankSquares(n1),
                       sum_kr + suffix_sum + kp_s * (count_less + 1));

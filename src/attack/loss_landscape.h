@@ -35,9 +35,11 @@
 //    integer arithmetic.
 //
 // Both per-round argmaxes — the insertion that most raises the loss
-// (FindOptimal) and the removal that does (FindOptimalRemoval) — run
-// one branch-and-bound skeleton over a *candidate source*: gap tiers
-// for insertion, key blocks of the removal SoA for removal. A source
+// (FindOptimal, and FindOptimalWithoutEdge, the RMI exchange
+// simulation's insertion with one boundary key taken out) and the
+// removal that does (FindOptimalRemoval) — run one branch-and-bound
+// skeleton over a *candidate source*: gap tiers for insertion, key
+// blocks of the removal SoA for removal. A source
 // supplies an admissible double-precision bound per group, per-unit
 // bounds and the exact evaluation; the skeleton seeds a running best,
 // skips every group or unit whose bound is below it, re-checks the
@@ -131,8 +133,7 @@ class LossLandscape {
   Key max_key() const { return max_key_; }
 
   /// \brief Second-smallest / second-largest current key. Requires
-  /// size() >= 2. Used by the RMI exchange simulation, which evaluates
-  /// the landscape with one boundary key hypothetically removed.
+  /// size() >= 2. They bound FindOptimalWithoutEdge's candidate range.
   Key SecondMinKey() const;
   Key SecondMaxKey() const;
 
@@ -290,6 +291,36 @@ class LossLandscape {
                                     nullptr,
                                 ThreadPool* pool = nullptr) const;
 
+  /// \brief An end of the current key span.
+  enum class Edge { kMin, kMax };
+
+  /// \brief The receiver side of the RMI CHANGELOSS simulation:
+  /// FindOptimal's argmax with \p key taken out of the current keys as
+  /// their smallest (Edge::kMin) or largest (Edge::kMax) key, without
+  /// touching the landscape. The candidates are the gap endpoints
+  /// strictly between SecondMinKey() and max_key() (kMin) or between
+  /// min_key() and SecondMaxKey() (kMax). That is the interior of what
+  /// remains, so interior_only has nothing to choose here.
+  ///
+  /// The scan runs FindOptimal's skeleton, serially, over an adjusted
+  /// snapshot: the aggregates lose \p key, and every gap record counts
+  /// one key fewer and \p key's shifted value less above a removed
+  /// minimum (a removed maximum lies above every candidate). A group
+  /// bound never starts at a record below a removed minimum. With
+  /// \p argmax.prune off it is the exhaustive scan. Results are
+  /// bit-identical either way (argmax_pruning_test checks both against
+  /// a landscape rebuilt without \p key).
+  ///
+  /// When \p key is not the edge it is named as, the snapshot describes
+  /// no keyset; the result is still deterministic and the same for both
+  /// scans. Fails with FailedPrecondition below two keys and
+  /// ResourceExhausted when no candidate outside \p excluded remains.
+  /// Shares the engine-owned argmax scratch: one landscape, one thread
+  /// at a time.
+  Result<Candidate> FindOptimalWithoutEdge(
+      Edge edge, Key key, const std::unordered_set<Key>* excluded,
+      const ArgmaxOptions& argmax, ArgmaxStats* stats = nullptr) const;
+
   /// \brief The removal-side argmax: the stored key whose deletion
   /// maximizes the retrained loss (the greedy step of the §V deletion
   /// and modification attacks). With \p allowed non-null only keys in
@@ -382,7 +413,8 @@ class LossLandscape {
 
   /// \brief Detached copy of the exact aggregates, supporting O(1)
   /// what-if edits and loss evaluation without touching the landscape.
-  /// The RMI CHANGELOSS simulation runs entirely on these snapshots.
+  /// The RMI CHANGELOSS simulation's donor side runs entirely on these
+  /// snapshots.
   struct Aggregates {
     std::int64_t n = 0;
     Key shift = 0;
@@ -404,7 +436,8 @@ class LossLandscape {
     /// \brief Removes a present key; \p suffix_sum_above excludes kp.
     void Remove(Key kp, Rank count_less, Int128 suffix_sum_above);
 
-    /// \name O(1) edge edits used by the exchange simulation.
+    /// \name O(1) edge edits used by the exchange simulation (donor
+    /// side) and FindOptimalWithoutEdge.
     /// @{
     void InsertBelowAll(Key k) { Insert(k, 0, sum_k); }
     void InsertAboveAll(Key k) { Insert(k, n, 0); }
@@ -436,8 +469,6 @@ class LossLandscape {
   }
 
  private:
-  long double LossWithInsertion(Key kp, Rank count_less,
-                                Int128 suffix_sum) const;
   void RecomputeCurrentLoss();
 
   /// True when the pruned bound arithmetic (and the int64 suffix-sum
@@ -468,6 +499,27 @@ class LossLandscape {
   struct GapSource;
   struct KeySource;
   struct ArgmaxFold;
+
+  /// What an insertion argmax scans: the gaps inside [lo, hi], each
+  /// candidate joining the keys `agg` describes. The gap records
+  /// describe the current keys, so above a removed minimum they count
+  /// rank_adj keys with shifted sum prefix_adj that `agg` lacks. Records
+  /// below `valid_from` (the removed minimum) do not count it, so the
+  /// correction is wrong there and no group bound starts at one.
+  struct GapSnapshot {
+    Aggregates agg;
+    Key lo = 0;
+    Key hi = 0;
+    Rank rank_adj = 0;
+    Int128 prefix_adj = 0;
+    Key valid_from = 0;
+  };
+
+  /// The insertion argmax of FindOptimal and FindOptimalWithoutEdge.
+  Result<Candidate> ScanGaps(const GapSnapshot& snap,
+                             const std::unordered_set<Key>* excluded,
+                             ThreadPool* pool, const ArgmaxOptions& argmax,
+                             ArgmaxStats* stats) const;
 
   /// One gap-source group: in-range gaps [begin, end) of tier `tier`.
   struct GapGroup {

@@ -29,8 +29,10 @@ constexpr long double kInfeasible =
 // place; only the rare *applied* exchanges — which move a legitimate
 // boundary key between models — rebuild the two touched landscapes.
 // Exchange *simulations*, the hot loop of the volume-allocation phase,
-// never materialize a model: they run on O(1) aggregate snapshots plus a
-// read-only scan of the receiver's existing gap decomposition.
+// never materialize a model: the donor side is O(1) aggregate
+// arithmetic, and the receiver side is the same pruned argmax as a
+// greedy insertion, run over the receiver's existing gap decomposition
+// with the boundary key taken out of a snapshot.
 // ---------------------------------------------------------------------------
 
 /// Attacker-side state of one second-stage model.
@@ -103,14 +105,17 @@ bool GreedyInsertOne(ModelState* state,
 /// *sum* of the two model losses (kInfeasible when the move is not
 /// allowed). `left_to_right` distinguishes i->i+1 from i<-i+1.
 ///
-/// Read-only: the donor side is pure aggregate arithmetic (remove its
-/// newest poison, absorb the boundary key at the edge); the receiver
-/// side scans its existing gaps against an aggregate snapshot with the
-/// boundary key hypothetically removed.
+/// Read-only on the models: the donor side is pure aggregate arithmetic
+/// (remove its newest poison, absorb the boundary key at the edge); the
+/// receiver side is LossLandscape::FindOptimalWithoutEdge, which uses
+/// the receiver landscape's argmax scratch, so no two simulations with
+/// one receiver may run at once. Its work is added to \p stats.
 long double SimulateExchange(const ModelState& donor,
                              const ModelState& receiver, bool left_to_right,
                              const std::unordered_set<Key>& occupied,
-                             std::int64_t threshold, bool interior_only) {
+                             std::int64_t threshold,
+                             const LossLandscape::ArgmaxOptions& argmax,
+                             LossLandscape::ArgmaxStats* stats) {
   if (donor.poisons.empty()) return kInfeasible;
   if (static_cast<std::int64_t>(receiver.poisons.size()) + 1 > threshold) {
     return kInfeasible;
@@ -119,7 +124,6 @@ long double SimulateExchange(const ModelState& donor,
   // its boundary legitimate key to the poison-donor model so both models
   // keep their total key counts.
   if (receiver.legit.size() < 2) return kInfeasible;
-  if (receiver.landscape.size() < 2) return kInfeasible;
 
   // (C) + (B), donor side: drop the newest poison, absorb the boundary
   // legitimate key (which lies beyond the donor's whole span).
@@ -140,56 +144,19 @@ long double SimulateExchange(const ModelState& donor,
   }
   const long double donor_after = donor_agg.Loss();
 
-  // (B) + (A), receiver side: the boundary key is its global min (i->i+1)
-  // or max (i<-i+1); remove it from a snapshot, then evaluate the best
-  // greedy insertion over the existing gap decomposition with ranks and
-  // prefix sums adjusted for the removal.
-  LossLandscape::Aggregates recv_agg = receiver.landscape.aggregates();
-  const Int128 kb_s = static_cast<Int128>(boundary) - recv_agg.shift;
-  Key cand_lo;
-  Key cand_hi;
-  Rank rank_adj;
-  Int128 prefix_adj;
-  if (left_to_right) {
-    recv_agg.RemoveSmallest(boundary);
-    const Key new_min = receiver.landscape.SecondMinKey();
-    cand_lo = interior_only ? new_min + 1 : new_min;
-    cand_hi = interior_only ? receiver.landscape.max_key() - 1
-                            : receiver.landscape.max_key();
-    rank_adj = 1;        // Every candidate sits above the removed min...
-    prefix_adj = kb_s;   // ...whose shifted value its prefix sum included.
-  } else {
-    recv_agg.RemoveLargest(boundary);
-    const Key new_max = receiver.landscape.SecondMaxKey();
-    cand_lo = interior_only ? receiver.landscape.min_key() + 1
-                            : receiver.landscape.min_key();
-    cand_hi = interior_only ? new_max - 1 : new_max;
-    rank_adj = 0;        // Candidates lie below the removed max.
-    prefix_adj = 0;
-  }
-
-  bool have = false;
-  long double best_after = 0;
-  receiver.landscape.ForEachGapInRange(
-      cand_lo, cand_hi,
-      [&](Key lo, Key hi, Rank count_less, Int128 prefix_sum) {
-        const Rank cl = count_less - rank_adj;
-        const Int128 suffix = recv_agg.sum_k - (prefix_sum - prefix_adj);
-        auto consider = [&](Key kp) {
-          if (occupied.count(kp) != 0) return;
-          const long double loss = recv_agg.LossAfterInsert(kp, cl, suffix);
-          if (!have || loss > best_after) {
-            best_after = loss;
-            have = true;
-          }
-        };
-        consider(lo);
-        if (hi != lo) consider(hi);
-      });
-  if (!have) return kInfeasible;
+  // (B) + (A), receiver side: the best greedy insertion once the
+  // boundary key, taken out as the receiver's smallest (i->i+1) or
+  // largest (i<-i+1) key, is gone. After an earlier exchange a receiver
+  // poison can lie beyond its boundary legitimate key; the snapshot
+  // still takes the boundary out as the edge, so the simulated loss then
+  // differs from the one ApplyExchange commits.
+  const auto best = receiver.landscape.FindOptimalWithoutEdge(
+      left_to_right ? LossLandscape::Edge::kMin : LossLandscape::Edge::kMax,
+      boundary, &occupied, argmax, stats);
+  if (!best.ok()) return kInfeasible;
 
   const long double before = donor.loss + receiver.loss;
-  return (donor_after + best_after) - before;
+  return (donor_after + best->loss) - before;
 }
 
 /// Applies the exchange for real (same move order as SimulateExchange).
@@ -534,29 +501,39 @@ Result<RmiAttackResult> PoisonRmi(const KeySet& keyset,
 
   // ---- Greedy volume re-allocation via CHANGELOSS. ----
   // Directed entries: change[i][0] is the i -> i+1 exchange (poison slot
-  // moves right), change[i][1] is i <- i+1 (slot moves left). The
-  // simulations are read-only, so each round's batch fans out across the
-  // pool; the argmax reduction stays serial and in fixed order.
+  // moves right, model i+1 receives it), change[i][1] is i <- i+1 (slot
+  // moves left, model i receives it). A simulation scans its receiver's
+  // landscape with that landscape's argmax scratch, so the first batch
+  // fans out by receiver: task j fills both entries model j receives.
+  // After an applied exchange the six affected entries are recomputed
+  // inline. The argmax reduction stays serial and in fixed order.
   const std::int64_t pairs = num_models - 1;
   std::vector<std::array<long double, 2>> change(
       static_cast<std::size_t>(std::max<std::int64_t>(pairs, 0)));
+  // Simulation work per receiving model, summed in model order below.
+  std::vector<LossLandscape::ArgmaxStats> exchange_stats(models.size());
+  auto simulate = [&](std::int64_t i, int dir) {
+    const auto left = static_cast<std::size_t>(i);
+    const std::size_t donor = dir == 0 ? left : left + 1;
+    const std::size_t receiver = dir == 0 ? left + 1 : left;
+    change[left][static_cast<std::size_t>(dir)] = SimulateExchange(
+        models[donor], models[receiver], /*left_to_right=*/dir == 0,
+        occupied, threshold, argmax, &exchange_stats[receiver]);
+  };
   auto recompute_pair = [&](std::int64_t i) {
     if (i < 0 || i >= pairs) return;
-    auto& left = models[static_cast<std::size_t>(i)];
-    auto& right = models[static_cast<std::size_t>(i) + 1];
-    change[static_cast<std::size_t>(i)][0] =
-        SimulateExchange(left, right, /*left_to_right=*/true, occupied,
-                         threshold, options.interior_only);
-    change[static_cast<std::size_t>(i)][1] =
-        SimulateExchange(right, left, /*left_to_right=*/false, occupied,
-                         threshold, options.interior_only);
+    simulate(i, 0);
+    simulate(i, 1);
   };
-  pool.ParallelFor(pairs, recompute_pair);
+  pool.ParallelFor(num_models, [&](std::int64_t j) {
+    if (j > 0) simulate(j - 1, 0);
+    if (j < pairs) simulate(j, 1);
+  });
 
   const std::int64_t max_exchanges = derived.max_exchanges;
   const long double eps_sum =
       options.epsilon * static_cast<long double>(num_models);
-  while (result.exchanges_applied < max_exchanges) {
+  while (true) {
     std::int64_t best_pair = -1;
     int best_dir = 0;
     long double best_delta = eps_sum;
@@ -571,6 +548,10 @@ Result<RmiAttackResult> PoisonRmi(const KeySet& keyset,
       }
     }
     if (best_pair < 0) break;  // No exchange improves L_RMI by > epsilon.
+    if (result.exchanges_applied >= max_exchanges) {
+      result.exchange_cap_hit = true;  // One still would.
+      break;
+    }
     ModelState* donor;
     ModelState* receiver;
     bool left_to_right;
@@ -592,9 +573,9 @@ Result<RmiAttackResult> PoisonRmi(const KeySet& keyset,
     result.exchanges_applied += 1;
     // Six entries reference the two touched models: the pair itself and
     // both neighbouring pairs.
-    pool.ParallelFor(3, [&](std::int64_t offset) {
-      recompute_pair(best_pair - 1 + offset);
-    });
+    recompute_pair(best_pair - 1);
+    recompute_pair(best_pair);
+    recompute_pair(best_pair + 1);
   }
 
   // ---- Collect results. ----
@@ -608,6 +589,7 @@ Result<RmiAttackResult> PoisonRmi(const KeySet& keyset,
     result.per_model_ratio.push_back(
         SafeRatioLoss(models[i].loss, result.clean_losses[i]));
     result.argmax_stats.Add(models[i].stats);
+    result.exchange_stats.Add(exchange_stats[i]);
     poisoned_sum += models[i].loss;
     result.total_poison_keys +=
         static_cast<std::int64_t>(models[i].poisons.size());

@@ -6,6 +6,8 @@
 // solved greedily through CHANGELOSS key-exchanges between neighbouring
 // models, and (2) the key-allocation problem — which keys to inject into
 // a given model — solved by Algorithm 1 (greedy single-point insertions).
+// Both run one argmax: every CHANGELOSS simulation prices the receiving
+// model's next greedy insertion with the same pruned scan as (2).
 
 #ifndef LISPOISON_ATTACK_RMI_POISONER_H_
 #define LISPOISON_ATTACK_RMI_POISONER_H_
@@ -50,15 +52,19 @@ struct RmiAttackOptions {
   bool interior_only = true;
 
   /// Worker threads for the parallel phases: clean-baseline fitting, the
-  /// initial per-model volume allocation, and the CHANGELOSS exchange
-  /// simulations. 0 means one per hardware thread; 1 runs fully inline.
-  /// The result is identical for every value: parallel tasks write to
-  /// disjoint slots and every decision reduces over them in fixed order.
+  /// initial per-model volume allocation, the first batch of CHANGELOSS
+  /// exchange simulations (one task per receiving model), and the
+  /// victim-side validation. The simulations after each applied
+  /// exchange run inline. 0 means one per hardware thread; 1 runs fully
+  /// inline. The result is identical for every value: parallel tasks
+  /// write to disjoint slots and every decision reduces over them in
+  /// fixed order.
   int num_threads = 0;
 
   /// Branch-and-bound pruning (the tiered scan) of every per-model
-  /// greedy argmax (the key-allocation inner loop); bit-identical
-  /// results either way. See AttackOptions::prune_argmax.
+  /// greedy argmax (the key-allocation inner loop) and of every
+  /// exchange simulation's receiver-side argmax; bit-identical results
+  /// either way. See AttackOptions::prune_argmax.
   bool prune_argmax = true;
 };
 
@@ -95,10 +101,20 @@ struct RmiAttackResult {
   /// Number of greedy CHANGELOSS exchanges applied.
   std::int64_t exchanges_applied = 0;
 
+  /// The exchange loop stopped at RmiAttackOptions::max_exchanges while
+  /// an exchange still improved L_RMI by more than epsilon (also when
+  /// the exchanges are disabled and one would). False when it stopped
+  /// at epsilon.
+  bool exchange_cap_hit = false;
+
   /// Argmax work counters summed over every per-model greedy insertion
   /// (the key-allocation loops, including re-insertions after applied
   /// exchanges) — the measurable win of RmiAttackOptions::prune_argmax.
   LossLandscape::ArgmaxStats argmax_stats;
+
+  /// Argmax work counters of the exchange simulations' receiver-side
+  /// scans (one round per simulation that reached its scan).
+  LossLandscape::ArgmaxStats exchange_stats;
 
   /// Total poisoning keys placed (= floor(φn) unless the domain
   /// saturated, which is reported as an error instead).
@@ -111,9 +127,12 @@ struct RmiAttackResult {
 /// \brief Runs Algorithm 2 against \p keyset.
 ///
 /// Each second-stage model keeps a persistent incremental LossLandscape,
-/// so greedy insertions never re-sort or retrain the model from scratch,
-/// and CHANGELOSS exchanges are simulated on O(1) aggregate snapshots.
-/// The embarrassingly parallel phases fan out over
+/// so greedy insertions never re-sort or retrain the model from scratch.
+/// A CHANGELOSS exchange is simulated without materializing either
+/// model: O(1) aggregate arithmetic for the donor, and for the receiver
+/// the pruned insertion argmax over an aggregate snapshot with the
+/// boundary key taken out (LossLandscape::FindOptimalWithoutEdge). The
+/// embarrassingly parallel phases fan out over
 /// RmiAttackOptions::num_threads workers with a thread-count-independent
 /// result.
 ///

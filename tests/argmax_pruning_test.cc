@@ -5,10 +5,13 @@
 // a *bit-identical* Candidate (key and long-double loss) to the
 // exhaustive reference scan, at every thread count in {1, 2, 7}. The
 // harness also pins the no-per-round-allocation property of the
-// engine-owned argmax scratch via the realloc counter.
+// engine-owned argmax scratch via the realloc counter, and checks the
+// RMI exchange simulation's edge-removed argmax (FindOptimalWithoutEdge)
+// against a landscape rebuilt without the edge key.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <unordered_set>
@@ -343,6 +346,168 @@ TEST(ArgmaxPruningTest, TieredCountersAreCoherentAndAmortized) {
   // exhaustive scan evaluates exactly. 4x is a loose floor — the sparse
   // acceptance configs measure >= 10x per round.
   EXPECT_LT(total.bound_evals * 4, exhaustive_total.exact_evals);
+}
+
+/// The brute force behind FindOptimalWithoutEdge: a landscape rebuilt
+/// from \p keys (sorted) without \p edge_key over the tight domain of
+/// the rest, every gap endpoint outside \p excluded evaluated with
+/// LossAt, the first maximum in key order. On a tight domain both
+/// interior_only settings offer the same endpoints. Returns false when
+/// no candidate remains.
+bool RebuiltArgmax(std::vector<Key> keys, Key edge_key, bool interior_only,
+                   const std::unordered_set<Key>* excluded,
+                   LossLandscape::Candidate* out) {
+  keys.erase(std::find(keys.begin(), keys.end(), edge_key));
+  auto ks = KeySet::CreateWithTightDomain(std::move(keys));
+  EXPECT_TRUE(ks.ok()) << ks.status().message();
+  auto ll = LossLandscape::Create(*ks);
+  EXPECT_TRUE(ll.ok()) << ll.status().message();
+  bool have = false;
+  for (const Key kp : ll->GapEndpoints(interior_only)) {
+    if (excluded != nullptr && excluded->count(kp) != 0) continue;
+    const auto loss = ll->LossAt(kp);
+    EXPECT_TRUE(loss.ok());
+    if (!have || *loss > out->loss) {
+      out->key = kp;
+      out->loss = *loss;
+      have = true;
+    }
+  }
+  return have;
+}
+
+/// Both FindOptimalWithoutEdge scans at both edges against the rebuilt
+/// landscape, plus the tiered scan's disposition contract over the gaps
+/// it scans. Returns the number of edge scans that found a candidate.
+int ExpectEdgeRemovedMatchesRebuilt(const LossLandscape& ll,
+                                    const std::vector<Key>& keys,
+                                    const std::unordered_set<Key>* excluded) {
+  using Edge = LossLandscape::Edge;
+  LossLandscape::ArgmaxOptions tiered;
+  tiered.prune = true;
+  LossLandscape::ArgmaxOptions exhaustive;
+  exhaustive.prune = false;
+  int found = 0;
+  for (const Edge edge : {Edge::kMin, Edge::kMax}) {
+    const Key key = edge == Edge::kMin ? keys.front() : keys.back();
+    LossLandscape::ArgmaxStats stats;
+    const auto got = ll.FindOptimalWithoutEdge(edge, key, excluded, tiered,
+                                               &stats);
+    const auto ref =
+        ll.FindOptimalWithoutEdge(edge, key, excluded, exhaustive);
+    for (const bool interior : {true, false}) {
+      LossLandscape::Candidate want;
+      const bool have = RebuiltArgmax(keys, key, interior, excluded, &want);
+      EXPECT_EQ(have, got.ok()) << "interior " << interior;
+      EXPECT_EQ(have, ref.ok()) << "interior " << interior;
+      if (!have || !got.ok() || !ref.ok()) continue;
+      EXPECT_EQ(got->key, want.key) << "interior " << interior;
+      EXPECT_EQ(got->loss, want.loss) << "interior " << interior;
+      EXPECT_EQ(ref->key, want.key) << "interior " << interior;
+      EXPECT_EQ(ref->loss, want.loss) << "interior " << interior;
+    }
+    found += got.ok() ? 1 : 0;
+    // Every gap strictly inside what remains is dispositioned once.
+    const Key lo = edge == Edge::kMin ? ll.SecondMinKey() : ll.min_key();
+    const Key hi = edge == Edge::kMin ? ll.max_key() : ll.SecondMaxKey();
+    std::int64_t in_range = 0;
+    ll.ForEachGapInRange(lo + 1, hi - 1,
+                         [&in_range](Key, Key, Rank, Int128) { ++in_range; });
+    EXPECT_EQ(stats.rounds, 1);
+    EXPECT_EQ(stats.fallback_rounds, 0);
+    EXPECT_EQ(stats.cached_bounds + stats.invalidated_gaps, in_range);
+  }
+  return found;
+}
+
+TEST(ArgmaxPruningTest, EdgeRemovedArgmaxMatchesRebuiltLandscape) {
+  // Layouts: sparse uniform and log-normal keys on a domain with gaps
+  // below the minimum and above the maximum (the first tier's front
+  // record then lies below a removed minimum); the same keys on their
+  // tight domain; keys whose two smallest and two largest are adjacent;
+  // an arithmetic progression, whose mirror-image candidates tie
+  // exactly; and sparse keys whose edges moved outward through InsertKey
+  // and RemoveKey, so the removed minimum is not the shift and its
+  // shifted value is not zero. Rounds commit the FindOptimal winner, so
+  // later rounds scan tiers with pending deltas.
+  enum class EdgeLayout {
+    kSparse, kLogNormal, kTight, kAdjacent, kTies, kMovedEdges
+  };
+  const std::int64_t kSizes[] = {2, 3, 5, 60, 400, 3000};
+  int found = 0;
+  for (const EdgeLayout layout :
+       {EdgeLayout::kSparse, EdgeLayout::kLogNormal, EdgeLayout::kTight,
+        EdgeLayout::kAdjacent, EdgeLayout::kTies, EdgeLayout::kMovedEdges}) {
+    for (const std::int64_t n : kSizes) {
+      Rng rng(0xED6E + static_cast<std::uint64_t>(layout) * 100 +
+              static_cast<std::uint64_t>(n));
+      const KeyDomain domain{0, 20 * n + 100};
+      Result<KeySet> ks = Status::Internal("unset");
+      if (layout == EdgeLayout::kTies) {
+        std::vector<Key> keys;
+        for (std::int64_t i = 0; i < n; ++i) keys.push_back(50 + 7 * i);
+        ks = KeySet::CreateWithTightDomain(std::move(keys));
+      } else if (layout == EdgeLayout::kLogNormal) {
+        ks = GenerateLogNormal(n, KeyDomain{0, 1000 * n + 1000}, &rng);
+      } else {
+        ks = GenerateUniform(n, KeyDomain{10, 20 * n + 90}, &rng);
+        ASSERT_TRUE(ks.ok()) << ks.status().message();
+        std::vector<Key> keys = ks->keys();
+        if (layout == EdgeLayout::kAdjacent) {
+          const Key lo = keys.front();
+          const Key hi = keys.back();
+          keys.push_back(lo - 1);
+          keys.push_back(hi + 1);
+        }
+        ks = layout == EdgeLayout::kTight
+                 ? KeySet::CreateWithTightDomain(std::move(keys))
+                 : KeySet::Create(std::move(keys), domain);
+      }
+      ASSERT_TRUE(ks.ok()) << ks.status().message();
+      auto ll = LossLandscape::Create(*ks);
+      ASSERT_TRUE(ll.ok()) << ll.status().message();
+      std::vector<Key> keys = ks->keys();
+      if (layout == EdgeLayout::kMovedEdges) {
+        const Key lo = keys.front();
+        const Key hi = keys.back();
+        ASSERT_TRUE(ll->InsertKey(lo - 7).ok());
+        ASSERT_TRUE(ll->InsertKey(hi + 7).ok());
+        ASSERT_TRUE(ll->RemoveKey(lo).ok());
+        ASSERT_TRUE(ll->RemoveKey(hi).ok());
+        keys.front() = lo - 7;
+        keys.back() = hi + 7;
+      }
+
+      for (int round = 0; round < 4; ++round) {
+        found += ExpectEdgeRemovedMatchesRebuilt(*ll, keys, nullptr);
+        if (keys.size() >= 2) {
+          // Exclusions on the endpoints nearest both edges, whichever
+          // key is removed.
+          const std::unordered_set<Key> excluded = {
+              ll->min_key() + 1, ll->SecondMinKey() + 1,
+              ll->max_key() - 1, ll->SecondMaxKey() - 1};
+          found += ExpectEdgeRemovedMatchesRebuilt(*ll, keys, &excluded);
+        }
+        auto best = ll->FindOptimal(true);
+        if (!best.ok()) break;
+        ASSERT_TRUE(ll->InsertKey(best->key).ok());
+        keys.insert(std::lower_bound(keys.begin(), keys.end(), best->key),
+                    best->key);
+      }
+    }
+  }
+  EXPECT_GT(found, 300);
+}
+
+TEST(ArgmaxPruningTest, EdgeRemovedArgmaxNeedsTwoKeys) {
+  auto ks = KeySet::Create({40}, KeyDomain{0, 100});
+  ASSERT_TRUE(ks.ok());
+  auto ll = LossLandscape::Create(*ks);
+  ASSERT_TRUE(ll.ok());
+  const auto got = ll->FindOptimalWithoutEdge(
+      LossLandscape::Edge::kMin, 40, nullptr, LossLandscape::ArgmaxOptions{});
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -5,6 +5,11 @@
 // fixed serial order, so PoisonRmi must produce identical results for
 // any num_threads.
 //
+// Pruning independence: the branch-and-bound scans of the per-model
+// greedy insertions and of the exchange simulations select exactly what
+// the exhaustive scans select, so prune_argmax on and off must produce
+// identical results too.
+//
 // Differential: with the exchange phase disabled, the initial volume
 // allocation is a pure sequence of greedy landscape insertions, and the
 // incremental path must select byte-identical poison keys to the
@@ -12,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "attack/rmi_poisoner.h"
@@ -38,7 +44,9 @@ void ExpectIdenticalResults(const RmiAttackResult& a,
     EXPECT_EQ(a.per_model_poison[i], b.per_model_poison[i]) << "model " << i;
   }
   EXPECT_EQ(a.exchanges_applied, b.exchanges_applied);
+  EXPECT_EQ(a.exchange_cap_hit, b.exchange_cap_hit);
   EXPECT_EQ(a.total_poison_keys, b.total_poison_keys);
+  EXPECT_EQ(a.poisoned_losses, b.poisoned_losses);
   EXPECT_EQ(a.clean_rmi_loss, b.clean_rmi_loss);
   EXPECT_EQ(a.poisoned_rmi_loss, b.poisoned_rmi_loss);
   EXPECT_EQ(a.retrained_rmi_loss, b.retrained_rmi_loss);
@@ -56,8 +64,8 @@ TEST(RmiDeterminismTest, ThreadCountDoesNotChangeThePoisonSet) {
 }
 
 TEST(RmiDeterminismTest, ThreadCountIndependentOnSkewedKeys) {
-  // Log-normal keys fire real exchanges, covering the parallel
-  // recompute-after-apply path.
+  // Log-normal keys fire real exchanges, covering the inline
+  // recompute-after-apply path after the parallel first batch.
   Rng rng(32);
   auto ks = GenerateLogNormal(3000, KeyDomain{0, 299999}, &rng);
   ASSERT_TRUE(ks.ok());
@@ -66,6 +74,33 @@ TEST(RmiDeterminismTest, ThreadCountIndependentOnSkewedKeys) {
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   ExpectIdenticalResults(*serial, *parallel);
+}
+
+TEST(RmiDeterminismTest, PruningDoesNotChangeThePoisonSet) {
+  // Both key layouts fire real exchanges, so the exchange simulations'
+  // receiver-side scans decide which exchanges apply.
+  Rng uniform_rng(37);
+  auto uniform = GenerateUniform(4000, KeyDomain{0, 399999}, &uniform_rng);
+  ASSERT_TRUE(uniform.ok());
+  Rng skewed_rng(38);
+  auto skewed = GenerateLogNormal(3000, KeyDomain{0, 299999}, &skewed_rng);
+  ASSERT_TRUE(skewed.ok());
+  for (const auto& [ks, model_size] :
+       {std::make_pair(&*uniform, 200), std::make_pair(&*skewed, 150)}) {
+    for (const int threads : {1, 8}) {
+      auto opts = Options(0.10, model_size, threads);
+      auto pruned = PoisonRmi(*ks, opts);
+      opts.prune_argmax = false;
+      auto exhaustive = PoisonRmi(*ks, opts);
+      ASSERT_TRUE(pruned.ok()) << pruned.status().message();
+      ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().message();
+      ExpectIdenticalResults(*pruned, *exhaustive);
+      EXPECT_GT(pruned->exchanges_applied, 0);
+      EXPECT_EQ(exhaustive->exchange_stats.bound_evals, 0);
+      EXPECT_LT(pruned->exchange_stats.exact_evals,
+                exhaustive->exchange_stats.exact_evals);
+    }
+  }
 }
 
 TEST(RmiDeterminismTest, RepeatedRunsAreIdentical) {

@@ -14,6 +14,10 @@ report shape the rest of the tooling depends on:
     exhaustive arm, and its bound work stays within 2x of the
     exhaustive arm's exact evaluations (one score per candidate) even
     on dense configs; the prune-off arm does no bound work at all;
+  * PoisonRmi incremental rows also carry the exchange-phase counters
+    (xchg_exact_evals / xchg_bound_evals of the exchange simulations'
+    receiver-side scans, and cap_hit), and their prune pairs apply the
+    same number of exchanges;
   * tools/bench_compare.py can pair every incremental entry with its
     reference sibling and compute speedups (the CI regression gate).
 
@@ -26,10 +30,14 @@ it additionally asserts the committed-trajectory acceptance criteria:
     the attack outcome of its committed counterpart exactly — the
     serial scan is deterministic, so any drift is a behaviour change of
     the argmax, not noise; a smoke row the committed report lacks
-    fails, so the pinned set cannot shrink unnoticed;
+    fails, so the pinned set cannot shrink unnoticed; PoisonRmi rows
+    also pin exchanges, xchg_exact_evals, xchg_bound_evals and cap_hit;
   * on the sparse n=100k insertion configs (uniform and log-normal,
     serial) the tiered arm's bound_evals are >= 10x below the
     prune-off arm's exact_evals (one evaluation per candidate);
+  * on the n=100k PoisonRmi prune pairs (uniform and log-normal,
+    serial) the pruned arm's xchg_exact_evals are >= 10x below the
+    prune-off arm's, with equal outcomes and equal exchanges;
   * the incremental GreedyDeleteCdf at n=100k is >= 10x faster
     (wall-clock) than the rebuild-per-round deletion reference, with
     outcome-identical prune arms.
@@ -121,6 +129,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_compare  # noqa: E402  (sibling module, after path setup)
 
 GREEDY_INCREMENTAL = "BM_GreedyPoisonCdf_Incremental"
+RMI_INCREMENTAL = "BM_PoisonRmi_Incremental"
 DELETE_INCREMENTAL = "BM_GreedyDeleteCdf_Incremental"
 DELETE_REFERENCE = "BM_GreedyDeleteCdf_Reference"
 # Greedy-family incremental benches that must carry the full counter
@@ -144,6 +153,14 @@ REQUIRED_COUNTERS = PINNED_COUNTERS + (
     "hardware_concurrency",
     "poisons_per_sec",
     "ratio_loss",
+)
+# What a serial PoisonRmi row pins on top of PINNED_COUNTERS: the
+# exchange count and the exchange simulations' work.
+RMI_PINNED_COUNTERS = (
+    "exchanges",
+    "xchg_exact_evals",
+    "xchg_bound_evals",
+    "cap_hit",
 )
 
 
@@ -187,6 +204,9 @@ def check_entries(entries, require_pairs):
             assert entry["cached_bounds"] == 0 and entry["invalidated_gaps"] == 0, (
                 f"{name} (prune off) touched the tier counters"
             )
+            assert entry.get("xchg_bound_evals", 0) == 0, (
+                f"{name} (prune off) scored exchange bounds"
+            )
             continue
         # A pruned arm that silently degenerates to the exhaustive
         # fallback every round would pass the outcome checks; it must
@@ -214,6 +234,13 @@ def check_entries(entries, require_pairs):
         assert entry["bound_evals"] <= off["exact_evals"] * 2, (
             f"the tiered scan blew up bound work: {name}"
         )
+        if base == RMI_INCREMENTAL:
+            assert entry["exchanges"] == off["exchanges"], (
+                f"pruning changed the exchanges applied: {name}"
+            )
+            assert entry["xchg_exact_evals"] <= off["xchg_exact_evals"], (
+                f"pruning increased exchange exact evaluations: {name}"
+            )
     if require_pairs:
         assert prune_pairs > 0, "no prune on/off sibling pair found"
     return prune_pairs
@@ -250,7 +277,10 @@ def check_pinned_counters(fresh, path):
             f"{name}: serial smoke row has no committed counterpart in {path}"
         )
         want = committed[name]
-        for counter in PINNED_COUNTERS:
+        pinned_counters = PINNED_COUNTERS
+        if base == RMI_INCREMENTAL:
+            pinned_counters += RMI_PINNED_COUNTERS
+        for counter in pinned_counters:
             assert entry[counter] == want[counter], (
                 f"{name}: {counter} {entry[counter]} differs from the "
                 f"committed {want[counter]}"
@@ -290,6 +320,28 @@ def check_committed_baseline(path):
         )
         checked += 1
 
+    # The exchange simulations' receiver-side scans: pruning cuts their
+    # exact evaluations >= 10x on the n=100k RMI configs, and applies the
+    # same exchanges for the same outcome.
+    for dataset in (1, 2):  # kUniform, kLogNormal
+        name = f"{RMI_INCREMENTAL}/{dataset}/100000/200/1/1"
+        assert name in entries, f"committed baseline lacks {name}"
+        off_name = sibling(entries, name, 4, 0)
+        assert off_name is not None, f"committed baseline lacks {name}'s prune-off arm"
+        on, off = entries[name], entries[off_name]
+        assert on["xchg_exact_evals"] * 10 <= off["xchg_exact_evals"], (
+            f"committed baseline: exchange xchg_exact_evals not >=10x below "
+            f"the prune-off arm's for {name} "
+            f"({on['xchg_exact_evals']} vs {off['xchg_exact_evals']})"
+        )
+        assert on["rmi_ratio_loss"] == off["rmi_ratio_loss"], (
+            f"committed baseline: pruning changed the outcome for {name}"
+        )
+        assert on["exchanges"] == off["exchanges"], (
+            f"committed baseline: pruning changed the exchanges for {name}"
+        )
+        checked += 1
+
     # Deletion on the incremental engine >= 10x the rebuild-per-round
     # reference wall-clock at n=100k, outcomes identical across the
     # prune arms.
@@ -313,7 +365,8 @@ def check_committed_baseline(path):
 
     check_entries(entries, require_pairs=True)
     print(
-        f"committed baseline OK: {checked} sparse prune pairs >= 10x, "
+        f"committed baseline OK: {checked} sparse prune pairs >= 10x "
+        f"(insertion bound work, RMI exchange exact work), "
         f"{deletion_gates} deletion wall-clock gates >= 10x"
     )
 
@@ -784,6 +837,11 @@ def main():
     for name, entry in incremental.items():
         for counter in REQUIRED_COUNTERS:
             assert counter in entry, f"{name} is missing counter {counter}"
+    rmi_rows = [k for k in entries if split_args(k)[0] == RMI_INCREMENTAL]
+    assert rmi_rows, f"no {RMI_INCREMENTAL} entries in the smoke run"
+    for name in rmi_rows:
+        for counter in PINNED_COUNTERS + RMI_PINNED_COUNTERS:
+            assert counter in entries[name], f"{name} is missing counter {counter}"
 
     prune_pairs = check_entries(entries, require_pairs=True)
 
