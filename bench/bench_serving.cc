@@ -23,8 +23,7 @@
 //                      work accounting is unaffected)
 //   --compact-threshold=0  overlay size that triggers an overlay-into-
 //                      base merge + substrate retrain (0 = never; the
-//                      ROADMAP dynamic_index-style delta-merge knob for
-//                      insert-heavy runs)
+//                      delta-merge knob for insert-heavy runs)
 //   --num-shards=1     key-range serving shards (matrix mode; the
 //                      sharded smoke arms below always run at 4)
 //   --read-group=1     batched read dispatch width (LookupBatch +

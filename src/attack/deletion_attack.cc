@@ -282,6 +282,11 @@ Result<ModificationAttackResult> GreedyModifyCdfReference(
   const KeyDomain domain = keyset.domain();
   result.base_loss = LossOfSorted(work);
 
+  // The oracle re-inserts through the exhaustive scan, so it never
+  // shares the pruned argmax it is the ground truth for.
+  LossLandscape::ArgmaxOptions exhaustive;
+  exhaustive.prune = false;
+
   for (std::int64_t round = 0; round < moves; ++round) {
     // Step 1: best deletion among movable keys.
     DeletionLandscape landscape(work);
@@ -312,7 +317,9 @@ Result<ModificationAttackResult> GreedyModifyCdfReference(
     LISPOISON_ASSIGN_OR_RETURN(KeySet current, KeySet::Create(work, domain));
     LISPOISON_ASSIGN_OR_RETURN(LossLandscape insertion,
                                LossLandscape::Create(current));
-    auto best = insertion.FindOptimal(options.interior_only);
+    auto best = insertion.FindOptimal(options.interior_only,
+                                      /*excluded=*/nullptr, /*pool=*/nullptr,
+                                      exhaustive);
     if (!best.ok()) {
       // Nowhere to put it back: undo the deletion and stop.
       work.insert(std::lower_bound(work.begin(), work.end(), moved), moved);

@@ -18,50 +18,8 @@ namespace lispoison {
 Result<GreedyPoisonResult> GreedyPoisonCdf(const KeySet& keyset,
                                            std::int64_t p,
                                            const AttackOptions& options) {
-  if (keyset.empty()) {
-    return Status::InvalidArgument("cannot poison an empty keyset");
-  }
-  if (p < 1) {
-    return Status::InvalidArgument("poisoning budget p must be >= 1");
-  }
-
-  GreedyPoisonResult result;
-  result.poison_keys.reserve(static_cast<std::size_t>(p));
-  result.loss_trajectory.reserve(static_cast<std::size_t>(p));
-
-  // One pool for all rounds; the chunked argmax reduction — and the
-  // chunked prefix-scan Create below — are thread-count independent, so
-  // any worker count builds the same landscape and selects the same
-  // keys.
-  std::unique_ptr<ThreadPool> pool = MakeAttackPool(options);
-
-  // One landscape for the whole attack: each committed poison updates
-  // the aggregates and the gap decomposition in place, so the next
-  // round's argmax sees the compound rank shifts exactly.
-  LISPOISON_ASSIGN_OR_RETURN(LossLandscape landscape,
-                             LossLandscape::Create(keyset, pool.get()));
-  result.base_loss = landscape.BaseLoss();
-
-  const LossLandscape::ArgmaxOptions argmax = options.ArgmaxKnobs();
-  TraceSpan attack_span(TraceCategory::kAttack, "greedy_poison_cdf", p);
-  for (std::int64_t round = 0; round < p; ++round) {
-    const LossLandscape::ArgmaxStats stats_before = result.argmax_stats;
-    auto best = landscape.FindOptimal(options.interior_only,
-                                      /*excluded=*/nullptr, pool.get(),
-                                      argmax, &result.argmax_stats);
-    attack_internal::AttackTelemetry::Get().AddDelta(result.argmax_stats,
-                                                     stats_before);
-    if (!best.ok()) {
-      return Status::ResourceExhausted(
-          "poisoning range exhausted after " + std::to_string(round) +
-          " of " + std::to_string(p) + " insertions");
-    }
-    LISPOISON_RETURN_IF_ERROR(landscape.InsertKey(best->key));
-    result.poison_keys.push_back(best->key);
-    result.loss_trajectory.push_back(best->loss);
-  }
-  result.poisoned_loss = result.loss_trajectory.back();
-  return result;
+  return GreedyPoisonCdfCheckpointed(keyset, p, options,
+                                     GreedyCheckpointOptions{});
 }
 
 namespace {
@@ -112,88 +70,111 @@ Status WriteGreedyCheckpoint(const std::string& path, std::uint64_t fp,
   return writer.WriteToFile(path);
 }
 
+// Restores the committed rounds recorded at \p path into \p landscape
+// and \p result and returns how many there were; 0 when no checkpoint
+// exists yet. A corrupt or foreign checkpoint is refused loudly instead
+// of silently restarting a multi-hour run from scratch.
+Result<std::int64_t> ResumeGreedyCheckpoint(const std::string& path,
+                                            std::uint64_t fp, std::int64_t p,
+                                            const AttackOptions& options,
+                                            LossLandscape* landscape,
+                                            GreedyPoisonResult* result) {
+  auto reader_or = SnapshotReader::Open(path);
+  if (!reader_or.ok()) {
+    if (reader_or.status().code() == StatusCode::kNotFound) return 0;
+    return reader_or.status();
+  }
+  LISPOISON_ASSIGN_OR_RETURN(const GreedyCkptMeta meta,
+                             reader_or->ReadPod<GreedyCkptMeta>("meta"));
+  if (meta.keyset_fp != fp) {
+    return Status::FailedPrecondition(
+        "checkpoint '" + path + "' was taken against a different keyset");
+  }
+  if (meta.p_total != p ||
+      meta.interior_only != (options.interior_only ? 1 : 0)) {
+    return Status::FailedPrecondition(
+        "checkpoint '" + path + "' was taken for a different attack shape");
+  }
+  LISPOISON_ASSIGN_OR_RETURN(std::vector<Key> poison,
+                             reader_or->ReadVector<Key>("poison"));
+  LISPOISON_ASSIGN_OR_RETURN(std::vector<long double> traj,
+                             reader_or->ReadVector<long double>("traj"));
+  LISPOISON_ASSIGN_OR_RETURN(
+      const LossLandscape::ArgmaxStats stats,
+      reader_or->ReadPod<LossLandscape::ArgmaxStats>("stats"));
+  LISPOISON_ASSIGN_OR_RETURN(const long double stored_base,
+                             reader_or->ReadPod<long double>("base_loss"));
+  if (meta.rounds_done != static_cast<std::int64_t>(poison.size()) ||
+      poison.size() != traj.size() || meta.rounds_done > p) {
+    return Status::FailedPrecondition("checkpoint '" + path +
+                                      "' is internally inconsistent");
+  }
+  // Replay: each committed insertion is an exact integer splice, so
+  // the rebuilt landscape holds bit-for-bit the engine state the
+  // interrupted run held after round rounds_done.
+  for (const Key kp : poison) {
+    LISPOISON_RETURN_IF_ERROR(landscape->InsertKey(kp));
+  }
+  const LossLandscape::Aggregates agg = landscape->aggregates();
+  if (agg.n != meta.n || agg.shift != meta.shift ||
+      agg.sum_k != meta.sum_k || agg.sum_k2 != meta.sum_k2 ||
+      agg.sum_kr != meta.sum_kr) {
+    return Status::FailedPrecondition(
+        "checkpoint '" + path +
+        "' replay does not reproduce the recorded aggregates");
+  }
+  result->poison_keys = std::move(poison);
+  result->loss_trajectory = std::move(traj);
+  result->argmax_stats = stats;
+  result->base_loss = stored_base;
+  return meta.rounds_done;
+}
+
 }  // namespace
 
 Result<GreedyPoisonResult> GreedyPoisonCdfCheckpointed(
     const KeySet& keyset, std::int64_t p, const AttackOptions& options,
     const GreedyCheckpointOptions& ckpt) {
-  if (ckpt.path.empty()) return GreedyPoisonCdf(keyset, p, options);
   if (keyset.empty()) {
     return Status::InvalidArgument("cannot poison an empty keyset");
   }
   if (p < 1) {
     return Status::InvalidArgument("poisoning budget p must be >= 1");
   }
-
-  const std::uint64_t fp = KeysetFingerprint(keyset);
+  // An empty path runs the plain attack: no fingerprint, no checkpoint
+  // read or write.
+  const bool checkpointing = !ckpt.path.empty();
+  const std::uint64_t fp = checkpointing ? KeysetFingerprint(keyset) : 0;
 
   GreedyPoisonResult result;
   result.poison_keys.reserve(static_cast<std::size_t>(p));
   result.loss_trajectory.reserve(static_cast<std::size_t>(p));
 
+  // One pool for all rounds; the chunked argmax reduction — and the
+  // chunked prefix-scan Create below — are thread-count independent, so
+  // any worker count builds the same landscape and selects the same
+  // keys.
   std::unique_ptr<ThreadPool> pool = MakeAttackPool(options);
+
+  // One landscape for the whole attack: each committed poison updates
+  // the aggregates and the gap decomposition in place, so the next
+  // round's argmax sees the compound rank shifts exactly.
   LISPOISON_ASSIGN_OR_RETURN(LossLandscape landscape,
                              LossLandscape::Create(keyset, pool.get()));
   result.base_loss = landscape.BaseLoss();
 
   std::int64_t start = 0;
-  auto reader_or = SnapshotReader::Open(ckpt.path);
-  if (reader_or.ok()) {
-    LISPOISON_ASSIGN_OR_RETURN(const GreedyCkptMeta meta,
-                               reader_or->ReadPod<GreedyCkptMeta>("meta"));
-    if (meta.keyset_fp != fp) {
-      return Status::FailedPrecondition(
-          "checkpoint '" + ckpt.path +
-          "' was taken against a different keyset");
-    }
-    if (meta.p_total != p ||
-        meta.interior_only != (options.interior_only ? 1 : 0)) {
-      return Status::FailedPrecondition(
-          "checkpoint '" + ckpt.path +
-          "' was taken for a different attack shape");
-    }
-    LISPOISON_ASSIGN_OR_RETURN(std::vector<Key> poison,
-                               reader_or->ReadVector<Key>("poison"));
-    LISPOISON_ASSIGN_OR_RETURN(std::vector<long double> traj,
-                               reader_or->ReadVector<long double>("traj"));
+  if (checkpointing) {
     LISPOISON_ASSIGN_OR_RETURN(
-        const LossLandscape::ArgmaxStats stats,
-        reader_or->ReadPod<LossLandscape::ArgmaxStats>("stats"));
-    LISPOISON_ASSIGN_OR_RETURN(const long double stored_base,
-                               reader_or->ReadPod<long double>("base_loss"));
-    if (meta.rounds_done != static_cast<std::int64_t>(poison.size()) ||
-        poison.size() != traj.size() || meta.rounds_done > p) {
-      return Status::FailedPrecondition("checkpoint '" + ckpt.path +
-                                        "' is internally inconsistent");
-    }
-    // Replay: each committed insertion is an exact integer splice, so
-    // the rebuilt landscape holds bit-for-bit the engine state the
-    // interrupted run held after round rounds_done.
-    for (const Key kp : poison) {
-      LISPOISON_RETURN_IF_ERROR(landscape.InsertKey(kp));
-    }
-    const LossLandscape::Aggregates agg = landscape.aggregates();
-    if (agg.n != meta.n || agg.shift != meta.shift ||
-        agg.sum_k != meta.sum_k || agg.sum_k2 != meta.sum_k2 ||
-        agg.sum_kr != meta.sum_kr) {
-      return Status::FailedPrecondition(
-          "checkpoint '" + ckpt.path +
-          "' replay does not reproduce the recorded aggregates");
-    }
-    result.poison_keys = std::move(poison);
-    result.loss_trajectory = std::move(traj);
-    result.argmax_stats = stats;
-    result.base_loss = stored_base;
-    start = meta.rounds_done;
-  } else if (reader_or.status().code() != StatusCode::kNotFound) {
-    // A corrupt checkpoint is refused loudly instead of silently
-    // restarting a multi-hour run from scratch.
-    return reader_or.status();
+        start, ResumeGreedyCheckpoint(ckpt.path, fp, p, options, &landscape,
+                                      &result));
   }
 
   const LossLandscape::ArgmaxOptions argmax = options.ArgmaxKnobs();
-  TraceSpan attack_span(TraceCategory::kAttack, "greedy_poison_cdf_ckpt",
-                        p - start);
+  TraceSpan attack_span(
+      TraceCategory::kAttack,
+      checkpointing ? "greedy_poison_cdf_ckpt" : "greedy_poison_cdf",
+      p - start);
   for (std::int64_t round = start; round < p; ++round) {
     const LossLandscape::ArgmaxStats stats_before = result.argmax_stats;
     auto best = landscape.FindOptimal(options.interior_only,
@@ -210,6 +191,7 @@ Result<GreedyPoisonResult> GreedyPoisonCdfCheckpointed(
     result.poison_keys.push_back(best->key);
     result.loss_trajectory.push_back(best->loss);
 
+    if (!checkpointing) continue;
     const std::int64_t committed = round + 1;
     const bool at_halt = committed == ckpt.halt_after;
     if (committed == p || at_halt ||

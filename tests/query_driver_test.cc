@@ -1,6 +1,7 @@
 // QueryDriver + SearchBackend coverage: cross-backend agreement on
 // found/scan counts, thread-count-independent work accounting for
-// read-only streams, insert visibility, and the deterministic
+// read-only streams, insert visibility, compaction (out-of-domain keys
+// and update-path poisoning included), and the deterministic
 // clean-vs-poisoned latency-proxy gap (measured lookup work) that turns
 // the paper's loss metric into serving cost on a fixed seed.
 
@@ -212,6 +213,95 @@ TEST(SearchBackendTest, CompactionFoldsOverlayIntoBase) {
     EXPECT_EQ(scan.range_count, ks.size() + added_inside)
         << (*backend)->name();
   }
+}
+
+TEST(SearchBackendTest, OutOfDomainInsertsWidenTheServingDomain) {
+  // Inserts outside the build domain are accepted, and the compaction
+  // that folds them in rebuilds over the hull of the build domain and
+  // every inserted key.
+  Rng rng(4);
+  auto ks = GenerateUniform(100, KeyDomain{0, 9999}, &rng);
+  ASSERT_TRUE(ks.ok());
+  BackendOptions opts;
+  opts.rmi.target_model_size = 50;
+  opts.compact_threshold = 3;
+  opts.sync_compaction = true;
+  auto backend = CreateBackend(BackendKind::kRmi, *ks, opts);
+  ASSERT_TRUE(backend.ok()) << backend.status().message();
+  SearchBackend& idx = **backend;
+  ASSERT_TRUE(idx.Insert(10000).ok());
+  ASSERT_TRUE(idx.Insert(-5).ok());
+  EXPECT_EQ(idx.compactions(), 0);
+  EXPECT_TRUE(idx.Lookup(10000).found);
+  EXPECT_TRUE(idx.Lookup(-5).found);
+  EXPECT_EQ(idx.Scan(-5, 10000).range_count, 102);
+
+  // The third insert reaches the threshold and compacts inline.
+  Key fresh = 0;
+  while (ks->Contains(fresh)) ++fresh;
+  ASSERT_TRUE(idx.Insert(fresh).ok());
+  EXPECT_EQ(idx.compactions(), 1);
+  EXPECT_EQ(idx.overlay_size(), 0);
+  EXPECT_EQ(idx.base_size(), 103);
+  EXPECT_TRUE(idx.Lookup(10000).found);
+  EXPECT_TRUE(idx.Lookup(-5).found);
+  EXPECT_EQ(idx.Scan(-5, 10000).range_count, 103);
+}
+
+TEST(SearchBackendTest, EmptyKeysetIsRejected) {
+  auto empty = KeySet::Create({}, KeyDomain{0, 10});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(CreateBackend(BackendKind::kRmi, *empty, BackendOptions{})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SearchBackendTest, UpdatePathPoisoningEqualsDirectBuild) {
+  // The §VI update-path adversary: Algorithm 2's poison keys arrive as
+  // ordinary inserts, and the compaction they trigger retrains the RMI
+  // on K ∪ P. From then on the index serves reads exactly as one built
+  // on K ∪ P directly, at more work than the clean index.
+  Rng rng(6);
+  auto ks = GenerateUniform(2000, KeyDomain{0, 199999}, &rng);
+  ASSERT_TRUE(ks.ok());
+  RmiAttackOptions attack_opts;
+  attack_opts.poison_fraction = 0.10;
+  attack_opts.model_size = 50;
+  auto attack = PoisonRmi(*ks, attack_opts);
+  ASSERT_TRUE(attack.ok());
+  const std::vector<Key> poison = attack->AllPoisonKeys();
+  auto poisoned = ks->Union(poison);
+  ASSERT_TRUE(poisoned.ok());
+
+  BackendOptions opts;
+  opts.rmi.target_model_size = 50;
+  opts.rmi.root_kind = RootModelKind::kOracle;
+  BackendOptions updatable = opts;
+  updatable.compact_threshold = static_cast<std::int64_t>(poison.size());
+  updatable.sync_compaction = true;
+  auto streamed = CreateBackend(BackendKind::kRmi, *ks, updatable);
+  auto direct = CreateBackend(BackendKind::kRmi, *poisoned, opts);
+  auto clean = CreateBackend(BackendKind::kRmi, *ks, opts);
+  ASSERT_TRUE(streamed.ok());
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(clean.ok());
+  for (const Key kp : poison) ASSERT_TRUE((*streamed)->Insert(kp).ok());
+  EXPECT_EQ((*streamed)->compactions(), 1);
+  EXPECT_EQ((*streamed)->overlay_size(), 0);
+
+  auto ops = GenerateOperations(ReadOnlyUniformWorkload(88), *ks, 8000);
+  ASSERT_TRUE(ops.ok());
+  DriverOptions dopts;
+  dopts.num_threads = 1;
+  dopts.measure_latency = false;
+  const std::int64_t streamed_work =
+      MustRun(streamed->get(), *ops, dopts).total_work;
+  const std::int64_t direct_work =
+      MustRun(direct->get(), *ops, dopts).total_work;
+  const std::int64_t clean_work = MustRun(clean->get(), *ops, dopts).total_work;
+  EXPECT_EQ(streamed_work, direct_work);
+  EXPECT_GT(streamed_work, clean_work);
 }
 
 TEST(QueryDriverTest, CompactionPreservesInsertMixResults) {

@@ -17,54 +17,94 @@
 #include "data/generators.h"
 #include "index/btree.h"
 #include "index/cdf_regression.h"
-#include "index/dynamic_index.h"
 #include "index/learned_index.h"
+#include "workload/search_backend.h"
 
 namespace lispoison {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Dynamic index vs std::set reference under a random insert/lookup mix.
+// Updatable index — a one-shard RMI backend compacting inline — vs a
+// std::set reference under a random insert/remove/lookup mix. Keys are
+// drawn from the domain, the initial keys and the removed keys alike,
+// so duplicates, tombstones, resurrections and compaction folding all
+// occur.
 // ---------------------------------------------------------------------------
 
-class DynamicIndexStress : public testing::TestWithParam<int> {};
+class UpdatableIndexStress : public testing::TestWithParam<int> {};
 
-TEST_P(DynamicIndexStress, RandomOpsMatchReferenceSet) {
+TEST_P(UpdatableIndexStress, RandomOpsMatchReferenceSet) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 1299721);
   const KeyDomain domain{0, 49999};
   auto initial = GenerateUniform(500, domain, &rng);
   ASSERT_TRUE(initial.ok());
 
-  DynamicIndexOptions opts;
+  BackendOptions opts;
   opts.rmi.target_model_size = 64;
   opts.rmi.root_kind = RootModelKind::kOracle;
-  opts.retrain_threshold = 0.04;
-  auto idx = DynamicLearnedIndex::Build(*initial, opts);
-  ASSERT_TRUE(idx.ok());
+  opts.num_shards = 1;
+  opts.compact_threshold = 20;
+  opts.sync_compaction = true;
+  auto backend = CreateBackend(BackendKind::kRmi, *initial, opts);
+  ASSERT_TRUE(backend.ok()) << backend.status().message();
+  SearchBackend& idx = **backend;
 
   std::set<Key> reference(initial->keys().begin(), initial->keys().end());
-  for (int op = 0; op < 2000; ++op) {
-    const Key k = rng.UniformInt(domain.lo, domain.hi);
-    if (rng.NextDouble() < 0.3) {
-      const Status st = idx->Insert(k);
-      if (reference.count(k)) {
+  std::vector<Key> removed;
+  // A third each: any domain key, an initial key, a removed key.
+  auto draw = [&]() -> Key {
+    const std::int64_t source = rng.UniformInt(0, 2);
+    if (source == 1) return initial->at(rng.UniformInt(0, initial->size() - 1));
+    if (source == 2 && !removed.empty()) {
+      return removed[static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(removed.size()) - 1))];
+    }
+    return rng.UniformInt(domain.lo, domain.hi);
+  };
+  std::int64_t peak_tombstones = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const double u = rng.NextDouble();
+    const Key k = draw();
+    const bool stored = reference.count(k) > 0;
+    if (u < 0.3) {
+      const Status st = idx.Insert(k);
+      if (stored) {
         EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << k;
       } else {
         EXPECT_TRUE(st.ok()) << st.ToString();
         reference.insert(k);
       }
+    } else if (u < 0.5) {
+      const Status st = idx.Remove(k);
+      if (stored) {
+        EXPECT_TRUE(st.ok()) << st.ToString();
+        reference.erase(k);
+        removed.push_back(k);
+        peak_tombstones = std::max(peak_tombstones, idx.tombstone_size());
+      } else {
+        EXPECT_EQ(st.code(), StatusCode::kNotFound) << k;
+      }
     } else {
-      EXPECT_EQ(idx->Lookup(k).found, reference.count(k) > 0) << k;
+      EXPECT_EQ(idx.Lookup(k).found, stored) << k;
     }
   }
-  EXPECT_EQ(idx->size(), static_cast<std::int64_t>(reference.size()));
-  // Final sweep: every reference key is found.
+  EXPECT_GT(idx.compactions(), 0);
+  EXPECT_GT(peak_tombstones, 0);
+  EXPECT_EQ(idx.base_size() + idx.overlay_size() - idx.tombstone_size(),
+            static_cast<std::int64_t>(reference.size()));
+  EXPECT_EQ(idx.Scan(domain.lo, domain.hi).range_count,
+            static_cast<std::int64_t>(reference.size()));
+  // Final sweep: every reference key is found, every removed key that
+  // stayed removed is not.
   for (Key k : reference) {
-    ASSERT_TRUE(idx->Lookup(k).found) << k;
+    ASSERT_TRUE(idx.Lookup(k).found) << k;
+  }
+  for (Key k : removed) {
+    ASSERT_EQ(idx.Lookup(k).found, reference.count(k) > 0) << k;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DynamicIndexStress, testing::Range(1, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, UpdatableIndexStress, testing::Range(1, 6));
 
 // ---------------------------------------------------------------------------
 // Learned index vs B+Tree vs std::vector: identical answers on mixed
