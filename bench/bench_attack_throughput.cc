@@ -346,6 +346,10 @@ BENCHMARK(BM_GreedyPoisonCdf_Incremental)
     ->Args({kLogNormal, 100000, 1000, 1, 1})
     ->Args({kLogNormal, 100000, 1000, 1, 0})
     ->Args({kLogNormal, 100000, 1000, 0, 1})
+    // Pooled exhaustive scan: every round's ~100k live gaps reach the
+    // fan-out threshold, where the pruned threads = 0 rows stay under
+    // it and run the serial scan.
+    ->Args({kLogNormal, 100000, 1000, 0, 0})
     ->Args({kUniform, 100000, 1000, 1, 1})
     ->Args({kUniform, 100000, 1000, 1, 0})
     ->Args({kUniform, 100000, 1000, 0, 1})
@@ -353,8 +357,10 @@ BENCHMARK(BM_GreedyPoisonCdf_Incremental)
     // rebuild-per-round baseline needs O(p*n) work per run and would
     // take hours; the --attack-10m gate instead holds the per-commit
     // counters sublinear against the n=100k rows). Excluded from the
-    // CI smoke filter, present in the committed full-run JSON.
-    ->Args({kUniform, 10000000, 200, 1, 1});
+    // CI smoke filter, present in the committed full-run JSON. The
+    // pooled sibling's rounds (~357k live gaps each) fan out.
+    ->Args({kUniform, 10000000, 200, 1, 1})
+    ->Args({kUniform, 10000000, 200, 0, 1});
 BENCHMARK(BM_GreedyPoisonCdf_Reference)
     ->Unit(benchmark::kMillisecond)
     ->Args({kDenseRuns, 10000, 100})

@@ -85,8 +85,8 @@ int Run(int argc, char** argv) {
   const long double loss0 = rmi_loss(accepted);
   std::printf("initial base RMI loss: %.4f\n\n", static_cast<double>(loss0));
 
-  // Plan poison against the current base keyset; adversary replans
-  // after every compaction (white-box assumption of the paper).
+  // Plan poison against every key the backend holds; the adversary
+  // replans after every compaction (white-box assumption of the paper).
   const std::int64_t poison_total = static_cast<std::int64_t>(
       static_cast<double>(stream_n) * poison_share);
   const std::int64_t legit_total = stream_n - poison_total;
@@ -102,7 +102,6 @@ int Run(int argc, char** argv) {
   };
 
   Rng legit_rng = master.Fork(2);
-  std::vector<Key> base_keys = accepted;
   long double base_loss = loss0;
   std::vector<Key> poison_queue;
   std::int64_t sent_poison = 0, sent_legit = 0, step = 0;
@@ -114,8 +113,7 @@ int Run(int argc, char** argv) {
       // This insert's inline compaction retrained the base on every
       // accepted key.
       priced = backend.compactions();
-      base_keys = accepted;
-      base_loss = rmi_loss(base_keys);
+      base_loss = rmi_loss(accepted);
     }
     return true;
   };
@@ -124,10 +122,11 @@ int Run(int argc, char** argv) {
     if (poison_queue.empty() && sent_poison < poison_total &&
         backend.compactions() != last_retrains) {
       last_retrains = backend.compactions();
-      auto keyset = KeySet::Create(base_keys, domain);
+      auto keyset = KeySet::Create(accepted, domain);
       if (keyset.ok()) {
-        // RMI-aware plan (Algorithm 2) against the current base keys,
-        // in chunks the overlay can absorb per compaction.
+        // RMI-aware plan (Algorithm 2) against the accepted keys: the
+        // base and the overlay, whose keys would be refused as
+        // duplicates. In chunks the overlay can absorb per compaction.
         const std::int64_t chunk =
             std::min<std::int64_t>(poison_total - sent_poison, 100);
         RmiAttackOptions plan_opts;

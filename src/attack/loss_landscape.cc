@@ -449,9 +449,13 @@ std::vector<std::pair<Key, long double>> LossLandscape::Sweep(
 namespace {
 
 /// Candidates per parallel argmax chunk. Fixed (not derived from the
-/// thread count) so the chunk boundaries — and therefore the reduction
-/// order and every counter — are identical for every pool size.
+/// thread count) so the chunk boundaries, and with them every counter,
+/// are identical for every pool size.
 constexpr std::int64_t kArgmaxChunkGaps = 2048;
+
+/// The unit bound of a consumed seed, or of a unit with no admissible
+/// candidate.
+constexpr double kNoBound = -std::numeric_limits<double>::infinity();
 
 /// Smallest tier the batched gap-bound kernel takes. Measured: below
 /// ~tens of gaps (the RMI per-model regime) the staging pass costs more
@@ -1015,19 +1019,73 @@ template <typename Src>
 LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
                                                    ScanMode mode,
                                                    ThreadPool* pool,
+                                                   std::int64_t fan_out_units,
                                                    ArgmaxStats* stats) const {
   const std::size_t groups = src.num_groups();
-  const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                        src.total > kArgmaxChunkGaps;
-  // Chunks of consecutive groups holding >= kArgmaxChunkGaps units: a
-  // pure function of the structure, so the partition — and with it
-  // every counter and the reduced winner — is the same for every pool
-  // size. The serial scan is the one-chunk case.
+  const std::size_t stride = src.MaxUnits();
+  const bool pooled = pool != nullptr && pool->num_threads() > 1;
+
+  // The incumbent: the seed's exact loss, fixed before any fan-out, so
+  // every chunk prunes against the same value and no chunk task writes
+  // anything another reads. Live units, counted for a pool only: those
+  // of every group whose bound reaches it, which the sweep may re-score
+  // (all of them when exhaustive).
+  ArgmaxFold incumbent;
+  std::size_t seed_g = groups;
+  std::int64_t live_units = src.total;
+  if (mode == ScanMode::kTiered) {
+    // Shared: the group bounds, and the seed group's unit bounds in
+    // slot 0 of argmax_bounds_ (kept when a fan-out grows the buffer).
+    // Slot 1 is the serial sweep's.
+    EnsureScratchSize(&argmax_tier_bounds_, groups, &scratch_reallocs_);
+    EnsureScratchSize(&argmax_bounds_, 2 * stride, &scratch_reallocs_);
+    EnsureScratchSize(&argmax_soa_, Src::kSoaLanes * stride,
+                      &scratch_reallocs_);
+    double* group_bound = argmax_tier_bounds_.data();
+    for (std::size_t g = 0; g < groups; ++g) {
+      group_bound[g] = src.GroupBound(g);
+    }
+    stats->bound_evals += static_cast<std::int64_t>(groups);
+
+    // Seed inside the group with the highest bound (the first maximum,
+    // so every partition takes the same seed): its unit bounds are
+    // staged once for the sweep to reuse, and its best unit is
+    // exact-checked and marked consumed. Groups are never empty.
+    seed_g = static_cast<std::size_t>(
+        std::max_element(group_bound, group_bound + groups) - group_bound);
+    if (seed_g != groups) {
+      double* seed_bounds = argmax_bounds_.data();
+      src.UnitBounds(seed_g, seed_bounds, argmax_soa_.data(), stats);
+      const std::int64_t seed_j =
+          std::max_element(seed_bounds, seed_bounds + src.Units(seed_g)) -
+          seed_bounds;
+      if (seed_bounds[seed_j] != kNoBound) {
+        src.Exact(seed_g, seed_j, &incumbent, stats);
+        seed_bounds[seed_j] = kNoBound;
+      }
+    }
+    if (pooled) {
+      live_units = 0;
+      for (std::size_t g = 0; g < groups; ++g) {
+        if (!incumbent.have || group_bound[g] >= incumbent.best.loss) {
+          live_units += src.Units(g);
+        }
+      }
+    }
+  }
+
+  // Fan out only when a multi-worker pool has fan_out_units live units
+  // to split; otherwise the scan is the serial one, a single chunk.
+  // Chunks are consecutive groups holding >= kArgmaxChunkGaps units: a
+  // pure function of the structure, so the partition, and with it every
+  // counter and the reduced winner, is the same for every pool size
+  // above one.
+  const bool fan_out = pooled && live_units >= fan_out_units;
   auto& chunks = PrepareScratch(
       &argmax_chunks_,
-      parallel ? static_cast<std::size_t>(src.total / kArgmaxChunkGaps) + 1
-               : 1);
-  if (parallel) {
+      fan_out ? static_cast<std::size_t>(src.total / kArgmaxChunkGaps) + 1
+              : 1);
+  if (fan_out) {
     std::size_t first = 0;
     std::int64_t acc = 0;
     for (std::size_t g = 0; g < groups; ++g) {
@@ -1042,41 +1100,87 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
   } else {
     chunks.push_back(ArgmaxChunk{0, groups});
   }
-  const std::size_t num_chunks = chunks.size();
 
-  // Per chunk, disjoint: the batched kernel's SoA staging lanes and a
-  // seed-group and a swept-group slice of unit bounds.
   if (mode == ScanMode::kTiered) {
-    const std::size_t stride = src.MaxUnits();
-    EnsureScratchSize(&argmax_soa_, num_chunks * Src::kSoaLanes * stride,
-                      &scratch_reallocs_);
-    EnsureScratchSize(&argmax_tier_bounds_, groups, &scratch_reallocs_);
+    // Shared: per chunk, the suffix maxima of its group bounds and its
+    // suffix unit counts.
     EnsureScratchSize(&argmax_tier_suffix_max_, groups, &scratch_reallocs_);
     EnsureScratchSize(&argmax_tier_suffix_cnt_, groups, &scratch_reallocs_);
-    EnsureScratchSize(&argmax_bounds_, num_chunks * 2 * stride,
-                      &scratch_reallocs_);
+    const double* group_bound = argmax_tier_bounds_.data();
+    double* suffix_max = argmax_tier_suffix_max_.data();
+    std::int64_t* suffix_cnt = argmax_tier_suffix_cnt_.data();
+    for (const ArgmaxChunk& chunk : chunks) {
+      double run_max = kNoBound;
+      std::int64_t run_cnt = 0;
+      for (std::size_t g = chunk.end; g > chunk.first; --g) {
+        run_cnt += src.Units(g - 1);
+        if (group_bound[g - 1] > run_max) run_max = group_bound[g - 1];
+        suffix_max[g - 1] = run_max;
+        suffix_cnt[g - 1] = run_cnt;
+      }
+    }
   }
 
-  ArgmaxFold fold;
-  if (!parallel) {
-    ScanArgmaxChunk(src, mode, 0, &fold, stats);
+  ArgmaxFold fold = incumbent;
+  if (!fan_out) {
+    ScanArgmaxChunk(src, mode, chunks.front(), 0, seed_g, &fold, stats);
     return fold;
   }
-  std::vector<ArgmaxFold> chunk_fold(num_chunks);
-  std::vector<ArgmaxStats> chunk_stats(num_chunks);
-  pool->ParallelFor(static_cast<std::int64_t>(num_chunks),
-                    [this, &src, mode, &chunk_fold,
-                     &chunk_stats](std::int64_t c) {
-                      const auto ci = static_cast<std::size_t>(c);
-                      ScanArgmaxChunk(src, mode, ci, &chunk_fold[ci],
-                                      &chunk_stats[ci]);
-                    });
-  // Chunk order is key order, so folding the chunk winners in order
+  if (mode == ScanMode::kTiered) {
+    // A chunk whose every group bound is below the incumbent is settled
+    // here, counted as the sweep's first-group exit would count it, and
+    // never dispatched; the live chunks keep their key order.
+    const double* suffix_max = argmax_tier_suffix_max_.data();
+    const std::int64_t* suffix_cnt = argmax_tier_suffix_cnt_.data();
+    std::size_t live = 0;
+    for (const ArgmaxChunk& chunk : chunks) {
+      if (incumbent.have && suffix_max[chunk.first] < incumbent.best.loss) {
+        stats->pruned_gaps += suffix_cnt[chunk.first];
+        stats->cached_bounds += suffix_cnt[chunk.first];
+      } else {
+        chunks[live++] = chunk;
+      }
+    }
+    chunks.resize(live);
+  }
+  // One task per worker, each sweeping every tasks-th live chunk with
+  // its own scratch slot. Every chunk starts from the incumbent, never
+  // from the task's earlier chunks, so no counter depends on which task
+  // ran it.
+  const std::size_t tasks = std::min<std::size_t>(
+      chunks.size(), static_cast<std::size_t>(pool->num_threads()));
+  if (mode == ScanMode::kTiered) {
+    EnsureScratchSize(&argmax_bounds_, (tasks + 1) * stride,
+                      &scratch_reallocs_);
+    EnsureScratchSize(&argmax_soa_, tasks * Src::kSoaLanes * stride,
+                      &scratch_reallocs_);
+  }
+  std::vector<ArgmaxFold> task_fold(tasks);
+  std::vector<ArgmaxStats> task_stats(tasks);
+  pool->ParallelFor(
+      static_cast<std::int64_t>(tasks),
+      [this, &src, mode, seed_g, &chunks, tasks, &incumbent, &task_fold,
+       &task_stats](std::int64_t t) {
+        const auto slot = static_cast<std::size_t>(t);
+        ArgmaxFold best;
+        ArgmaxStats local;
+        for (std::size_t ci = slot; ci < chunks.size(); ci += tasks) {
+          ArgmaxFold chunk_fold = incumbent;
+          ScanArgmaxChunk(src, mode, chunks[ci], slot, seed_g, &chunk_fold,
+                          &local);
+          if (chunk_fold.have) {
+            best.Offer(chunk_fold.best.key, chunk_fold.best.loss);
+          }
+        }
+        task_fold[slot] = best;
+        task_stats[slot] = local;
+      });
+  // The fold rule is order-independent, so folding the task winners
   // reproduces the serial scan's first maximum.
-  for (std::size_t ci = 0; ci < num_chunks; ++ci) {
-    stats->Add(chunk_stats[ci]);
-    if (chunk_fold[ci].have) {
-      fold.Offer(chunk_fold[ci].best.key, chunk_fold[ci].best.loss);
+  for (std::size_t t = 0; t < tasks; ++t) {
+    stats->Add(task_stats[t]);
+    if (task_fold[t].have) {
+      fold.Offer(task_fold[t].best.key, task_fold[t].best.loss);
     }
   }
   return fold;
@@ -1084,10 +1188,10 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
 
 template <typename Src>
 void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
-                                    std::size_t ci, ArgmaxFold* fold,
+                                    const ArgmaxChunk& chunk,
+                                    std::size_t slot, std::size_t seed_g,
+                                    ArgmaxFold* fold,
                                     ArgmaxStats* stats) const {
-  constexpr double kNoBound = -std::numeric_limits<double>::infinity();
-  const ArgmaxChunk chunk = argmax_chunks_[ci];
   // A bound that cannot reach the running best prunes (>= keeps exact
   // ties alive for the smaller-key rule).
   auto below_best = [fold](double bound) {
@@ -1102,50 +1206,16 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
     return;
   }
 
-  // Tiered scan: one admissible bound per group, then per-unit bounds
-  // only inside groups whose bound reaches the running best.
+  // Tiered sweep in key order over the bounds RunArgmax prepared.
   // Accounting: a unit is "cached" when its group's bound disposed of
   // it, "invalidated" when its group survived and it was scored alone.
   const std::size_t stride = src.MaxUnits();
-  double* soa = argmax_soa_.data() + ci * Src::kSoaLanes * stride;
-  double* seed_bounds = argmax_bounds_.data() + ci * 2 * stride;
-  double* scratch = seed_bounds + stride;
-  double* group_bound = argmax_tier_bounds_.data();
-  double* suffix_max = argmax_tier_suffix_max_.data();
-  std::int64_t* suffix_cnt = argmax_tier_suffix_cnt_.data();
-  for (std::size_t g = chunk.first; g < chunk.end; ++g) {
-    group_bound[g] = src.GroupBound(g);
-    ++stats->bound_evals;
-  }
-  {
-    double run_max = kNoBound;
-    std::int64_t run_cnt = 0;
-    for (std::size_t g = chunk.end; g > chunk.first; --g) {
-      run_cnt += src.Units(g - 1);
-      if (group_bound[g - 1] > run_max) run_max = group_bound[g - 1];
-      suffix_max[g - 1] = run_max;
-      suffix_cnt[g - 1] = run_cnt;
-    }
-  }
-
-  // Seed inside the group with the highest bound (the first maximum, so
-  // the seed is scan-order independent): its unit bounds are staged once
-  // for the sweep to reuse, and its best unit is exact-checked. Groups
-  // are never empty.
-  const auto seed_g = static_cast<std::size_t>(
-      std::max_element(group_bound + chunk.first, group_bound + chunk.end) -
-      group_bound);
-  if (seed_g != chunk.end) {
-    src.UnitBounds(seed_g, seed_bounds, soa, stats);
-    const std::int64_t seed_j =
-        std::max_element(seed_bounds, seed_bounds + src.Units(seed_g)) -
-        seed_bounds;
-    if (seed_bounds[seed_j] != kNoBound) {
-      src.Exact(seed_g, seed_j, fold, stats);
-      seed_bounds[seed_j] = kNoBound;
-    }
-  }
-
+  double* soa = argmax_soa_.data() + slot * Src::kSoaLanes * stride;
+  const double* seed_bounds = argmax_bounds_.data();
+  double* scratch = argmax_bounds_.data() + (slot + 1) * stride;
+  const double* group_bound = argmax_tier_bounds_.data();
+  const double* suffix_max = argmax_tier_suffix_max_.data();
+  const std::int64_t* suffix_cnt = argmax_tier_suffix_cnt_.data();
   for (std::size_t g = chunk.first; g < chunk.end; ++g) {
     if (below_best(suffix_max[g])) {
       stats->pruned_gaps += suffix_cnt[g];
@@ -1402,7 +1472,7 @@ Result<LossLandscape::Candidate> LossLandscape::ScanGaps(
 
   const ArgmaxFold fold =
       RunArgmax(GapSource{*this, snap, groups, ctx, excluded, units}, mode,
-                pool, &local);
+                pool, argmax.fan_out_units, &local);
   if (stats != nullptr) stats->Add(local);
   if (!fold.have) {
     return Status::ResourceExhausted(
@@ -1582,7 +1652,7 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
         RemovalBoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
     const ScanMode mode = PickScanMode(argmax, ctx.usable, &local);
     fold = RunArgmax(KeySource{*this, ctx, allowed, rem_soa_.size()}, mode,
-                     pool, &local);
+                     pool, argmax.fan_out_units, &local);
   }
   if (stats != nullptr) stats->Add(local);
   if (!fold.have) {

@@ -209,16 +209,33 @@ class LossLandscape {
     /// exhaustive scan, the reference the differential tests compare
     /// against.
     bool prune = true;
+
+    /// Live units from which a pooled round fans out: those of every
+    /// group whose bound reaches the seed's loss, or every unit when the
+    /// scan is exhaustive. A round with fewer runs the serial scan even
+    /// with a pool, because splitting it costs more than it saves. 0
+    /// fans out every pooled round. Measured on a 4-vCPU host, the
+    /// default lies above the live work of tiered rounds at n <= 200k
+    /// (under ~5k units), which ran no faster on the pool, and below
+    /// that of tiered rounds at n = 1M (~29k) and n = 10M (~357k) and
+    /// of exhaustive rounds from 20k units, which ran 1.2-2.8x faster
+    /// when the host's cores were free.
+    std::int64_t fan_out_units = 16384;
   };
 
   /// \brief Evaluation-count counters accumulated across FindOptimal
   /// and FindOptimalRemoval calls. A "gap" below is a candidate unit:
   /// a gap for insertion, a stored key for removal. Counter values
-  /// depend on the scan layout (serial vs chunked) — only the returned
-  /// Candidate is invariant. Coherence invariant of the tiered scan,
-  /// asserted by the stateful property harness: per round,
-  /// cached_bounds + invalidated_gaps equals the number of units in the
-  /// scanned range.
+  /// depend only on the chunk partition: one chunk for the serial scan,
+  /// which a pooled round also runs unless its live work reaches the
+  /// fan-out threshold, and otherwise fixed chunks of consecutive
+  /// groups, so they are equal at every pool size above one. Fanned-out
+  /// chunks all prune against the one incumbent seeded before the
+  /// fan-out, which keeps their exact work close to the serial scan's;
+  /// only the returned Candidate is invariant across the two layouts.
+  /// Coherence invariant of the tiered scan, asserted by the stateful
+  /// property harness: per round, cached_bounds + invalidated_gaps
+  /// equals the number of units in the scanned range.
   struct ArgmaxStats {
     std::int64_t rounds = 0;          ///< Argmax calls.
     std::int64_t exact_evals = 0;     ///< Exact Theorem 1 evaluations.
@@ -249,12 +266,18 @@ class LossLandscape {
   /// exists. With \p excluded non-null, keys in that set are skipped
   /// (the RMI attack's globally occupied poisons).
   ///
-  /// With \p pool non-null and running >1 worker, the scan fans out in
-  /// chunks of consecutive groups holding at least kArgmaxChunkGaps
-  /// gaps, whose local winners fold in chunk order — exactly the serial
-  /// scan's first-maximum-in-key-order semantics, so the selected
-  /// candidate is bit-identical for every thread count
-  /// (greedy_differential_test).
+  /// With \p pool non-null and running >1 worker, a round whose live
+  /// work is large fans out (RunArgmax): the tiered scan first bounds
+  /// every tier and exact-checks one seed, whose loss is the incumbent;
+  /// the live gaps are those of every tier whose bound reaches it (every
+  /// gap when exhaustive). From \p argmax.fan_out_units live gaps the
+  /// scan runs on the pool in chunks of consecutive groups holding at
+  /// least kArgmaxChunkGaps gaps, each pruning against the incumbent; a
+  /// chunk whose every tier bound is below it never runs. Below that
+  /// the round is the serial scan. The chunk winners fold by the
+  /// first-maximum-in-key-order rule, so the selected candidate is
+  /// bit-identical for every thread count, and pooled exact work stays
+  /// close to the serial scan's (greedy_differential_test).
   ///
   /// The scan is the argmax skeleton over the gap source: a unit is a
   /// gap, offered at its non-excluded endpoints; a group is the
@@ -375,7 +398,6 @@ class LossLandscape {
   std::int64_t removal_block_count() const {
     return static_cast<std::int64_t>(rem_soa_.block_count());
   }
-  std::int64_t removal_block_cap() const { return rem_soa_.block_cap(); }
   /// @}
 
   /// \brief Test-only scratch canary: fills every engine-owned argmax
@@ -541,22 +563,38 @@ class LossLandscape {
   static ScanMode PickScanMode(const ArgmaxOptions& argmax, bool admissible,
                                ArgmaxStats* stats);
 
-  /// The argmax skeleton: partitions the source's groups into chunks of
-  /// at least kArgmaxChunkGaps units (one chunk without a multi-thread
-  /// \p pool), scans each with ScanArgmaxChunk, and folds the chunk
-  /// winners and counters in chunk (= key) order.
+  /// The argmax skeleton. Tiered, once per round and before any
+  /// fan-out: bounds every group, stages the unit bounds of the first
+  /// group with the highest bound, and exact-checks that group's best
+  /// unit, whose loss is the incumbent. The scan is then the serial one,
+  /// a single chunk swept from the incumbent, unless \p pool runs more
+  /// than one worker and the live units (those of every group whose
+  /// bound reaches the incumbent; every unit when exhaustive) reach
+  /// \p fan_out_units. Then the groups are cut into chunks of at least
+  /// kArgmaxChunkGaps units; a chunk whose every group bound is below
+  /// the incumbent is counted as cached and never dispatched, and one
+  /// task per worker sweeps every tasks-th live chunk, each from its own
+  /// copy of the incumbent. The winners and counters fold with the
+  /// order-independent first-maximum rule, so counters depend on the
+  /// partition only, never on the worker count.
   template <typename Src>
   ArgmaxFold RunArgmax(const Src& src, ScanMode mode, ThreadPool* pool,
-                       ArgmaxStats* stats) const;
+                       std::int64_t fan_out_units, ArgmaxStats* stats) const;
 
-  /// Scans chunk \p ci of argmax_chunks_ in \p mode with a chunk-local
-  /// running best \p fold. Exhaustive: every unit exactly. Tiered:
-  /// bound every group, seed inside the first group with the highest
-  /// bound, then a sweep that skips groups, re-scores surviving groups
-  /// per unit, or exits.
+  /// Sweeps \p chunk in \p mode into \p fold, which holds the
+  /// incumbent on entry, so every bound is tested against
+  /// max(incumbent, the chunk's own best). Exhaustive: every unit
+  /// exactly. Tiered: in key order, skips a group whose bound is below
+  /// the best, re-scores a surviving group per unit (group \p seed_g
+  /// from the staged seed bounds, read-only, whose consumed seed reads
+  /// -inf), and exits once every remaining group bound is below the
+  /// best. Reads the shared bound arrays RunArgmax filled and writes
+  /// only scratch slot \p slot.
   template <typename Src>
-  void ScanArgmaxChunk(const Src& src, ScanMode mode, std::size_t ci,
-                       ArgmaxFold* fold, ArgmaxStats* stats) const;
+  void ScanArgmaxChunk(const Src& src, ScanMode mode,
+                       const ArgmaxChunk& chunk, std::size_t slot,
+                       std::size_t seed_g, ArgmaxFold* fold,
+                       ArgmaxStats* stats) const;
 
   /// Clears \p buf, growing its capacity geometrically (and bumping
   /// scratch_reallocs_) only when \p needed exceeds it.
@@ -589,14 +627,16 @@ class LossLandscape {
   // scratch note). Mutable: FindOptimal is logically const.
   mutable std::vector<GapGroup> argmax_gap_groups_;
   mutable std::vector<ArgmaxChunk> argmax_chunks_;
-  // Per-chunk seed-group and swept-group unit bounds.
+  // Unit bounds: the seed group's in slot 0, then one swept-group slot
+  // per sweeping task (one when serial).
   mutable std::vector<double> argmax_bounds_;
   // Tiered-scan per-group arrays (sized by group count, ~sqrt(G)).
   mutable std::vector<double> argmax_tier_bounds_;
   mutable std::vector<double> argmax_tier_suffix_max_;
   mutable std::vector<std::int64_t> argmax_tier_suffix_cnt_;
   mutable std::vector<double> argmax_soa_;  // SoA staging of the batched
-                                            // per-gap bound kernel.
+                                            // per-gap bound kernel, one
+                                            // slot per sweeping task.
   mutable std::int64_t scratch_reallocs_ = 0;
 
   // Removal-candidate SoA: the current keys in sorted ~sqrt(n) blocks

@@ -27,11 +27,15 @@ struct AttackOptions {
   /// invisible to out-of-range and outlier filters).
   bool interior_only = true;
 
-  /// Worker threads for the greedy argmax scan over gap ranges.
-  /// 0 means one per hardware thread; 1 or any negative value runs the
-  /// serial scan. The selected poison sequence is bit-identical for
-  /// every value (chunked fixed-order reduction; see
-  /// LossLandscape::FindOptimal).
+  /// Worker threads for the greedy argmax scans (insertion over gap
+  /// tiers, removal over key blocks). 0 means one per hardware thread;
+  /// 1 or any negative value runs the serial scan. The selected poison
+  /// sequence is bit-identical for every value (chunked
+  /// order-independent reduction; see LossLandscape::FindOptimal). A
+  /// round fans out only when its live work is large, every chunk
+  /// pruning against one incumbent fixed before the fan-out, so it does
+  /// about the serial round's exact work; a smaller round runs the
+  /// serial scan.
   int num_threads = 1;
 
   /// Branch-and-bound pruning of the per-round argmax, run as the
@@ -45,10 +49,16 @@ struct AttackOptions {
   /// reference evaluation counts.
   bool prune_argmax = true;
 
+  /// Live units from which a pooled argmax round fans out; a smaller
+  /// round runs the serial scan (LossLandscape::ArgmaxOptions).
+  std::int64_t argmax_fan_out_units =
+      LossLandscape::ArgmaxOptions{}.fan_out_units;
+
   /// \brief The LossLandscape-level view of the argmax knobs.
   LossLandscape::ArgmaxOptions ArgmaxKnobs() const {
     LossLandscape::ArgmaxOptions knobs;
     knobs.prune = prune_argmax;
+    knobs.fan_out_units = argmax_fan_out_units;
     return knobs;
   }
 };

@@ -63,7 +63,8 @@ Result<KeySet> MakeKeyset(Layout layout, std::int64_t n, Rng* rng) {
 }
 
 /// One FindOptimal comparison: the exhaustive serial scan is the ground
-/// truth; the pruned scan must bit-match it serially and on every pool.
+/// truth; the pruned scan must bit-match it serially and on every pool,
+/// both fanned out every round and at the default fan-out threshold.
 /// Fills *out with the winner and returns false when the range is
 /// exhausted (both scans must agree on that too).
 bool ExpectPrunedMatchesExhaustive(
@@ -85,12 +86,17 @@ bool ExpectPrunedMatchesExhaustive(
     EXPECT_EQ(want->key, got_serial->key);
     EXPECT_EQ(want->loss, got_serial->loss);
   }
+  LossLandscape::ArgmaxOptions fanned_out = pruned;
+  fanned_out.fan_out_units = 0;
   for (ThreadPool* pool : pools) {
-    const auto got = ll.FindOptimal(interior_only, excluded, pool, pruned);
-    EXPECT_EQ(want.ok(), got.ok()) << pool->num_threads() << " threads";
-    if (want.ok() && got.ok()) {
-      EXPECT_EQ(want->key, got->key) << pool->num_threads() << " threads";
-      EXPECT_EQ(want->loss, got->loss) << pool->num_threads() << " threads";
+    for (const auto& argmax : {pruned, fanned_out}) {
+      const auto got = ll.FindOptimal(interior_only, excluded, pool, argmax);
+      EXPECT_EQ(want.ok(), got.ok()) << pool->num_threads() << " threads";
+      if (want.ok() && got.ok()) {
+        EXPECT_EQ(want->key, got->key) << pool->num_threads() << " threads";
+        EXPECT_EQ(want->loss, got->loss)
+            << pool->num_threads() << " threads";
+      }
     }
   }
   if (!want.ok()) return false;
@@ -106,8 +112,8 @@ TEST(ArgmaxPruningTest, DifferentialAcrossLayoutsSizesAndThreadCounts) {
   const std::vector<ThreadPool*> pools = {&pool2, &pool7};
 
   // n schedule: mostly small-to-mid landscapes (cheap exhaustive
-  // oracle), with every 7th case at n = 10^4 so the chunked parallel
-  // pruned path (> 2048 gaps) is exercised at both pool sizes.
+  // oracle), with every 7th case at n = 10^4 so the fanned-out pruned
+  // path crosses chunk boundaries (> 2048 gaps) at both pool sizes.
   const std::int64_t kSizes[] = {50, 200, 777, 3000, 10000};
 
   int checked = 0;

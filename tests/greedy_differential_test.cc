@@ -69,10 +69,12 @@ void ExpectIdenticalAttacks(const KeySet& keyset, std::int64_t p,
             InlineReferenceGreedy(keyset, p, interior_only));
 }
 
-/// Every ArgmaxStats counter of two pooled runs. The parallel chunks are
-/// a pure function of the structure, not of the worker count, so the
-/// counters must agree across pool sizes (they differ from serial,
-/// which scans one chunk).
+/// Every ArgmaxStats counter of two runs. The parallel chunks and the
+/// incumbent seeded before fan-out are a pure function of the
+/// structure, not of the worker count, so the counters of fanned-out
+/// runs agree across pool sizes (they differ from serial, which scans
+/// one chunk), and a pooled run whose rounds never fan out has the
+/// serial counters.
 void ExpectSameStats(const LossLandscape::ArgmaxStats& want,
                      const LossLandscape::ArgmaxStats& got, int threads) {
   EXPECT_EQ(got.rounds, want.rounds) << threads << " threads";
@@ -134,9 +136,9 @@ TEST(GreedyDifferentialTest, EvenlySpacedZeroLossBase) {
 TEST(GreedyDifferentialTest, ParallelArgmaxIsThreadCountIndependent) {
   // The chunked gap-range scan on the ThreadPool must select the exact
   // poison sequence of the serial scan for every worker count (fixed
-  // chunk boundaries, strict-> reduction in chunk order).
-  // >= 3 argmax chunks (2048 gaps each), so the pool reduction really
-  // crosses chunk boundaries.
+  // chunk boundaries, order-independent first-maximum reduction).
+  // >= 3 argmax chunks (2048 gaps each), and every round fans out, so
+  // the pool reduction really crosses chunk boundaries.
   Rng rng(26);
   auto ks = GenerateUniform(6000, KeyDomain{0, 1199999}, &rng);
   ASSERT_TRUE(ks.ok());
@@ -148,6 +150,7 @@ TEST(GreedyDifferentialTest, ParallelArgmaxIsThreadCountIndependent) {
   for (const int threads : {2, 3, 8}) {
     AttackOptions parallel;
     parallel.num_threads = threads;
+    parallel.argmax_fan_out_units = 0;
     auto got = GreedyPoisonCdf(*ks, 120, parallel);
     ASSERT_TRUE(got.ok()) << got.status().message();
     EXPECT_EQ(got->poison_keys, baseline->poison_keys)
@@ -181,6 +184,7 @@ TEST(GreedyDifferentialTest, ParallelArgmaxClusteredKeys) {
   AttackOptions serial;
   AttackOptions parallel;
   parallel.num_threads = 4;
+  parallel.argmax_fan_out_units = 0;
   auto a = GreedyPoisonCdf(*ks, 60, serial);
   auto b = GreedyPoisonCdf(*ks, 60, parallel);
   ASSERT_TRUE(a.ok());
@@ -190,9 +194,9 @@ TEST(GreedyDifferentialTest, ParallelArgmaxClusteredKeys) {
 }
 
 TEST(GreedyDifferentialTest, PooledDeletionIsWorkerCountIndependent) {
-  // The removal argmax fans out over key blocks in chunks of >= 2048
-  // keys: the removed keys match the serial scan, and the counters are
-  // the same at every pool size.
+  // The removal argmax, fanned out every round over key blocks in
+  // chunks of >= 2048 keys: the removed keys match the serial scan, and
+  // the counters are the same at every pool size.
   Rng rng(28);
   auto ks = GenerateUniform(6000, KeyDomain{0, 1199999}, &rng);
   ASSERT_TRUE(ks.ok());
@@ -202,6 +206,7 @@ TEST(GreedyDifferentialTest, PooledDeletionIsWorkerCountIndependent) {
   for (const int threads : {2, 3}) {
     AttackOptions parallel;
     parallel.num_threads = threads;
+    parallel.argmax_fan_out_units = 0;
     auto got = GreedyDeleteCdf(*ks, 40, /*deletable=*/{}, parallel);
     ASSERT_TRUE(got.ok()) << got.status().message();
     EXPECT_EQ(got->removed_keys, serial->removed_keys)
@@ -212,6 +217,67 @@ TEST(GreedyDifferentialTest, PooledDeletionIsWorkerCountIndependent) {
       pooled_stats = got->argmax_stats;
     } else {
       ExpectSameStats(pooled_stats, got->argmax_stats, threads);
+    }
+  }
+}
+
+TEST(GreedyDifferentialTest, PooledScansDoTheSerialExactWork) {
+  // Every pooled chunk prunes against one incumbent seeded before the
+  // fan-out, so a pooled attack that fans out every round selects the
+  // serial sequence with about the serial exact evaluations, for
+  // insertion and for deletion. A chunk pruning only against its own
+  // best does several times more. At the default threshold these
+  // rounds are too small to fan out: the pooled attack is the serial
+  // scan, counter for counter.
+  const std::int64_t n = 50000;
+  const KeyDomain domain{0, 100 * n};
+  for (const bool log_normal : {false, true}) {
+    const char* keys = log_normal ? "log-normal" : "uniform";
+    Rng rng(log_normal ? 30 : 29);
+    auto ks = log_normal ? GenerateLogNormal(n, domain, &rng)
+                         : GenerateUniform(n, domain, &rng);
+    ASSERT_TRUE(ks.ok());
+    auto insert = GreedyPoisonCdf(*ks, 100);
+    auto remove = GreedyDeleteCdf(*ks, 100);
+    ASSERT_TRUE(insert.ok()) << insert.status().message();
+    ASSERT_TRUE(remove.ok()) << remove.status().message();
+    for (const int threads : {2, 3}) {
+      AttackOptions pooled;
+      pooled.num_threads = threads;
+      auto small_insert = GreedyPoisonCdf(*ks, 100, pooled);
+      auto small_remove = GreedyDeleteCdf(*ks, 100, /*deletable=*/{}, pooled);
+      ASSERT_TRUE(small_insert.ok()) << small_insert.status().message();
+      ASSERT_TRUE(small_remove.ok()) << small_remove.status().message();
+      EXPECT_EQ(small_insert->poison_keys, insert->poison_keys)
+          << keys << ", " << threads << " threads";
+      EXPECT_EQ(small_remove->removed_keys, remove->removed_keys)
+          << keys << ", " << threads << " threads";
+      ExpectSameStats(insert->argmax_stats, small_insert->argmax_stats,
+                      threads);
+      ExpectSameStats(remove->argmax_stats, small_remove->argmax_stats,
+                      threads);
+
+      pooled.argmax_fan_out_units = 0;
+      auto pooled_insert = GreedyPoisonCdf(*ks, 100, pooled);
+      auto pooled_remove =
+          GreedyDeleteCdf(*ks, 100, /*deletable=*/{}, pooled);
+      ASSERT_TRUE(pooled_insert.ok()) << pooled_insert.status().message();
+      ASSERT_TRUE(pooled_remove.ok()) << pooled_remove.status().message();
+      EXPECT_EQ(pooled_insert->poison_keys, insert->poison_keys)
+          << keys << ", " << threads << " threads";
+      EXPECT_EQ(pooled_remove->removed_keys, remove->removed_keys)
+          << keys << ", " << threads << " threads";
+      // At most 1.5x the serial exact evaluations.
+      EXPECT_LE(2 * pooled_insert->argmax_stats.exact_evals,
+                3 * insert->argmax_stats.exact_evals)
+          << keys << " insertion, " << threads << " threads: "
+          << pooled_insert->argmax_stats.exact_evals << " pooled vs "
+          << insert->argmax_stats.exact_evals << " serial";
+      EXPECT_LE(2 * pooled_remove->argmax_stats.exact_evals,
+                3 * remove->argmax_stats.exact_evals)
+          << keys << " deletion, " << threads << " threads: "
+          << pooled_remove->argmax_stats.exact_evals << " pooled vs "
+          << remove->argmax_stats.exact_evals << " serial";
     }
   }
 }

@@ -40,7 +40,12 @@ it additionally asserts the committed-trajectory acceptance criteria:
     prune-off arm's, with equal outcomes and equal exchanges;
   * the incremental GreedyDeleteCdf at n=100k is >= 10x faster
     (wall-clock) than the rebuild-per-round deletion reference, with
-    outcome-identical prune arms.
+    outcome-identical prune arms;
+  * every pooled (threads = 0) incremental row recorded with
+    hardware_concurrency > 1 makes at most 1.5x the exact_evals of its
+    threads = 1 sibling, with an equal outcome (a pooled round below
+    the fan-out threshold is the serial scan; above it, every chunk
+    prunes against one incumbent).
 
 The update-stream configs (BM_GreedyDeleteCdf_*, BM_GreedyModifyCdf_*)
 share the 5-arg (dataset, n, budget, threads, prune) layout and the
@@ -263,9 +268,11 @@ def check_pinned_counters(fresh, path):
     """Serial incremental rows of the fresh run match the committed ones.
 
     Rows are (dataset, n, budget, threads, prune); only threads == 1
-    rows are compared, because a pooled scan's counters depend on the
-    recording machine's core count. Every such row must have a
-    committed counterpart.
+    rows are compared. A threads == 0 row's counters depend on whether
+    its pool runs more than one worker (a round with enough live work
+    is then cut into chunks), which the recording machine decides; they
+    do not depend on the worker count beyond that. Every threads == 1
+    row must have a committed counterpart.
     """
     committed = load_entries(path)
     pinned = 0
@@ -363,11 +370,38 @@ def check_committed_baseline(path):
         ), f"committed baseline: deletion outcome drifted for {inc_name}"
         deletion_gates += 1
 
+    # Pooled rows (threads = 0, one worker per core) run the serial scan
+    # on small rounds and prune every chunk of a fanned-out round
+    # against one incumbent seeded before the fan-out: on a multi-core
+    # recorder they make at most 1.5x the serial sibling's exact
+    # evaluations, with the same outcome.
+    pooled_gates = 0
+    for name, entry in entries.items():
+        base, args = split_args(name)
+        if "_Incremental" not in base or len(args) != 5 or args[3] != 0:
+            continue
+        if int(entry["hardware_concurrency"]) <= 1:
+            continue
+        serial_name = sibling(entries, name, 3, 1)
+        assert serial_name is not None, (
+            f"committed baseline lacks {name}'s threads=1 sibling"
+        )
+        serial = entries[serial_name]
+        assert entry["exact_evals"] * 2 <= serial["exact_evals"] * 3, (
+            f"committed baseline: pooled exact_evals above 1.5x serial for "
+            f"{name} ({entry['exact_evals']} vs {serial['exact_evals']})"
+        )
+        assert outcome(entry) == outcome(serial), (
+            f"committed baseline: pooling changed the outcome for {name}"
+        )
+        pooled_gates += 1
+
     check_entries(entries, require_pairs=True)
     print(
         f"committed baseline OK: {checked} sparse prune pairs >= 10x "
         f"(insertion bound work, RMI exchange exact work), "
-        f"{deletion_gates} deletion wall-clock gates >= 10x"
+        f"{deletion_gates} deletion wall-clock gates >= 10x, "
+        f"{pooled_gates} pooled rows <= 1.5x serial exact work"
     )
 
 
