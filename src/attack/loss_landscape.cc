@@ -16,38 +16,47 @@ namespace {
 /// vector grows geometrically like any other.
 constexpr std::int64_t kSweepReserveCap = 1 << 20;
 
-/// Theorem 1 loss from exact (n^2-scaled) aggregate numerators:
-/// L = [VarY_n - CovXY_n^2 / VarX_n] / n^2 where *_n = n^2 * moment.
-long double LossFromSums(std::int64_t n, Int128 sum_x, Int128 sum_x2,
-                         Int128 sum_y, Int128 sum_y2, Int128 sum_xy) {
-  const Int128 nn = static_cast<Int128>(n);
-  const Int128 var_x_n = nn * sum_x2 - sum_x * sum_x;
-  const Int128 var_y_n = nn * sum_y2 - sum_y * sum_y;
-  const Int128 cov_n = nn * sum_xy - sum_x * sum_y;
-  const long double n2 = static_cast<long double>(n) *
-                         static_cast<long double>(n);
-  if (var_x_n <= 0) {
-    // All keys identical: the regression degenerates to a constant.
-    long double loss = ToLongDouble(var_y_n) / n2;
+}  // namespace
+
+/// The rank side of the Theorem 1 loss over n points, whose ranks are a
+/// permutation of 1..n: their sum, the n^2-scaled variance
+/// n*sum(r^2) - (sum r)^2 exactly and in long double, and n^2. One scan
+/// evaluates every candidate at the same point count, so it computes
+/// these (two Int128 divisions among them) once.
+struct LossLandscape::RankMoments {
+  std::int64_t n = 0;
+  Int128 sum_y = 0;
+  Int128 var_y = 0;
+  long double var_y_ld = 0;
+  long double n2 = 0;
+
+  static RankMoments Of(std::int64_t n) {
+    RankMoments m;
+    m.n = n;
+    const Int128 nn = n;
+    m.sum_y = nn * (nn + 1) / 2;
+    m.var_y = nn * (nn * (nn + 1) * (2 * nn + 1) / 6) - m.sum_y * m.sum_y;
+    m.var_y_ld = ToLongDouble(m.var_y);
+    m.n2 = static_cast<long double>(n) * static_cast<long double>(n);
+    return m;
+  }
+
+  /// Theorem 1 loss from exact (n^2-scaled) aggregate numerators:
+  /// L = [VarY_n - CovXY_n^2 / VarX_n] / n^2 where *_n = n^2 * moment.
+  long double Loss(Int128 sum_x, Int128 sum_x2, Int128 sum_xy) const {
+    const Int128 nn = n;
+    const Int128 var_x_n = nn * sum_x2 - sum_x * sum_x;
+    const Int128 cov_n = nn * sum_xy - sum_x * sum_y;
+    if (var_x_n <= 0) {
+      // All keys identical: the regression degenerates to a constant.
+      long double loss = var_y_ld / n2;
+      return loss < 0 ? 0 : loss;
+    }
+    const long double cov = ToLongDouble(cov_n);
+    long double loss = (var_y_ld - cov * cov / ToLongDouble(var_x_n)) / n2;
     return loss < 0 ? 0 : loss;
   }
-  const long double cov = ToLongDouble(cov_n);
-  long double loss =
-      (ToLongDouble(var_y_n) - cov * cov / ToLongDouble(var_x_n)) / n2;
-  return loss < 0 ? 0 : loss;
-}
-
-/// Rank-moment sums for ranks 1..n.
-inline Int128 SumRanks(std::int64_t n) {
-  const Int128 m = n;
-  return m * (m + 1) / 2;
-}
-inline Int128 SumRankSquares(std::int64_t n) {
-  const Int128 m = n;
-  return m * (m + 1) * (2 * m + 1) / 6;
-}
-
-}  // namespace
+};
 
 Result<LossLandscape> LossLandscape::Create(const KeySet& keyset) {
   return Create(keyset, nullptr);
@@ -109,85 +118,83 @@ Result<LossLandscape> LossLandscape::Create(const KeySet& keyset,
       ++base_count;
     }
   } else {
-    // Two-pass chunked prefix scan: (1) per-chunk partial sums into the
-    // chunk's base_prefix_ slots plus per-chunk aggregate totals, (2) a
-    // serial exclusive scan of the chunk totals, (3) a parallel offset
-    // fix-up. Every sum is exact Int128, so the stitched values equal
-    // the serial loop's bit-for-bit.
+    // Two-pass chunked scan: (1) per-chunk partial sums into the chunk's
+    // base_prefix_ slots, per-chunk aggregate totals and gap counts,
+    // (2) serial exclusive scans of the chunk totals and counts, (3) a
+    // parallel pass that adds each chunk's offset to its prefix slots and
+    // writes its gap records straight into their final positions. Every
+    // sum is exact Int128, so the stitched values equal the serial
+    // loop's bit-for-bit.
+    //
+    // The gap *ending* at key i (between key i-1 and key i) belongs to
+    // the chunk containing i, whose cursor re-derives from its left
+    // neighbour — exactly the serial walk's cursor at that index — so
+    // the gap array is element-identical to the serial build's.
     const std::int64_t num_chunks =
         (ll.n_ + kCreateChunkKeys - 1) / kCreateChunkKeys;
-    std::vector<Int128> chunk_sum(static_cast<std::size_t>(num_chunks), 0);
-    std::vector<Int128> chunk_sum2(static_cast<std::size_t>(num_chunks), 0);
-    std::vector<Int128> chunk_sumr(static_cast<std::size_t>(num_chunks), 0);
-    pool->ParallelFor(num_chunks, [&ll, &chunk_sum, &chunk_sum2,
-                                   &chunk_sumr](std::int64_t c) {
+    const auto chunks = static_cast<std::size_t>(num_chunks);
+    std::vector<Int128> chunk_sum(chunks, 0);
+    std::vector<Int128> chunk_sum2(chunks, 0);
+    std::vector<Int128> chunk_sumr(chunks, 0);
+    std::vector<std::size_t> chunk_gaps(chunks, 0);
+    auto chunk_cursor = [&ll](std::int64_t lo) {
+      return lo == 0 ? ll.domain_.lo
+                     : ll.base_keys_[static_cast<std::size_t>(lo) - 1] + 1;
+    };
+    pool->ParallelFor(num_chunks, [&](std::int64_t c) {
       const std::int64_t lo = c * kCreateChunkKeys;
       const std::int64_t hi = std::min(ll.n_, lo + kCreateChunkKeys);
       Int128 acc = 0;
       Int128 acc2 = 0;
       Int128 accr = 0;
+      std::size_t gap_count = 0;
+      Key cursor = chunk_cursor(lo);
       for (std::int64_t i = lo; i < hi; ++i) {
-        const Int128 shifted =
-            static_cast<Int128>(ll.base_keys_[static_cast<std::size_t>(i)]) -
-            ll.shift_;
+        const Key k = ll.base_keys_[static_cast<std::size_t>(i)];
+        const Int128 shifted = static_cast<Int128>(k) - ll.shift_;
         acc += shifted;
         ll.base_prefix_[static_cast<std::size_t>(i) + 1] = acc;
         acc2 += shifted * shifted;
         accr += shifted * (i + 1);
+        gap_count += cursor <= k - 1 ? 1 : 0;
+        cursor = k + 1;
       }
       chunk_sum[static_cast<std::size_t>(c)] = acc;
       chunk_sum2[static_cast<std::size_t>(c)] = acc2;
       chunk_sumr[static_cast<std::size_t>(c)] = accr;
+      chunk_gaps[static_cast<std::size_t>(c)] = gap_count;
     });
-    std::vector<Int128> chunk_offset(static_cast<std::size_t>(num_chunks), 0);
+    std::vector<Int128> chunk_offset(chunks, 0);
+    std::vector<std::size_t> gap_offset(chunks, 0);
     Int128 run = 0;
-    for (std::int64_t c = 0; c < num_chunks; ++c) {
-      chunk_offset[static_cast<std::size_t>(c)] = run;
-      run += chunk_sum[static_cast<std::size_t>(c)];
-      ll.sum_k2_ += chunk_sum2[static_cast<std::size_t>(c)];
-      ll.sum_kr_ += chunk_sumr[static_cast<std::size_t>(c)];
+    std::size_t total_gaps = 0;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      chunk_offset[c] = run;
+      run += chunk_sum[c];
+      ll.sum_k2_ += chunk_sum2[c];
+      ll.sum_kr_ += chunk_sumr[c];
+      gap_offset[c] = total_gaps;
+      total_gaps += chunk_gaps[c];
     }
-    pool->ParallelFor(num_chunks, [&ll, &chunk_offset](std::int64_t c) {
+    gaps.reserve(total_gaps + 1);  // + the tail gap below.
+    gaps.resize(total_gaps);
+    pool->ParallelFor(num_chunks, [&](std::int64_t c) {
       const Int128 off = chunk_offset[static_cast<std::size_t>(c)];
-      if (off == 0) return;
       const std::int64_t lo = c * kCreateChunkKeys;
       const std::int64_t hi = std::min(ll.n_, lo + kCreateChunkKeys);
+      TieredGaps::GapRec* out =
+          gaps.data() + gap_offset[static_cast<std::size_t>(c)];
+      Key cursor = chunk_cursor(lo);
       for (std::int64_t i = lo; i < hi; ++i) {
         ll.base_prefix_[static_cast<std::size_t>(i) + 1] += off;
-      }
-    });
-
-    // Per-chunk gap emission: the gap *ending* at key i (between key
-    // i-1 and key i) belongs to the chunk containing i, whose cursor
-    // re-derives from its left neighbour — exactly the serial walk's
-    // cursor at that index. Per-chunk vectors concatenate in chunk
-    // order, so the final gap array is element-identical to the serial
-    // build's.
-    std::vector<std::vector<TieredGaps::GapRec>> chunk_gaps(
-        static_cast<std::size_t>(num_chunks));
-    pool->ParallelFor(num_chunks, [&ll, &chunk_gaps](std::int64_t c) {
-      const std::int64_t lo = c * kCreateChunkKeys;
-      const std::int64_t hi = std::min(ll.n_, lo + kCreateChunkKeys);
-      std::vector<TieredGaps::GapRec>& out =
-          chunk_gaps[static_cast<std::size_t>(c)];
-      Key cursor = lo == 0
-                       ? ll.domain_.lo
-                       : ll.base_keys_[static_cast<std::size_t>(lo) - 1] + 1;
-      for (std::int64_t i = lo; i < hi; ++i) {
         const Key k = ll.base_keys_[static_cast<std::size_t>(i)];
         if (cursor <= k - 1) {
-          out.push_back(TieredGaps::GapRec{
-              cursor, k - 1, i, ll.base_prefix_[static_cast<std::size_t>(i)]});
+          *out++ = TieredGaps::GapRec{
+              cursor, k - 1, i, ll.base_prefix_[static_cast<std::size_t>(i)]};
         }
         cursor = k + 1;
       }
     });
-    std::size_t total_gaps = 0;
-    for (const auto& cg : chunk_gaps) total_gaps += cg.size();
-    gaps.reserve(total_gaps + 1);
-    for (auto& cg : chunk_gaps) {
-      gaps.insert(gaps.end(), cg.begin(), cg.end());
-    }
   }
   ll.sum_k_ = ll.base_prefix_[static_cast<std::size_t>(ll.n_)];
   ll.inserted_slot_sum_.Reset(static_cast<std::size_t>(ll.n_) + 1);
@@ -207,8 +214,7 @@ Result<LossLandscape> LossLandscape::Create(const KeySet& keyset,
 }
 
 void LossLandscape::RecomputeCurrentLoss() {
-  base_loss_ = LossFromSums(n_, sum_k_, sum_k2_, SumRanks(n_),
-                            SumRankSquares(n_), sum_kr_);
+  base_loss_ = RankMoments::Of(n_).Loss(sum_k_, sum_k2_, sum_kr_);
 }
 
 LossLandscape::PrefixStats LossLandscape::PrefixAt(Key kp) const {
@@ -434,13 +440,15 @@ std::vector<std::pair<Key, long double>> LossLandscape::Sweep(
   out.reserve(static_cast<std::size_t>(
       std::min<std::int64_t>(hi - lo + 1, kSweepReserveCap)));
   const Aggregates agg = aggregates();
+  const RankMoments mom = RankMoments::Of(agg.n + 1);
   ForEachGapInRange(lo, hi,
-                    [&agg, &out](Key glo, Key ghi, Rank count_less,
-                                 Int128 prefix_sum) {
+                    [&agg, &mom, &out](Key glo, Key ghi, Rank count_less,
+                                       Int128 prefix_sum) {
                       const Int128 suffix = agg.sum_k - prefix_sum;
                       for (Key kp = glo; kp <= ghi; ++kp) {
-                        out.emplace_back(
-                            kp, agg.LossAfterInsert(kp, count_less, suffix));
+                        out.emplace_back(kp, LossAfterInsertion(
+                                                 agg, mom, kp, count_less,
+                                                 suffix));
                       }
                     });
   return out;
@@ -457,415 +465,322 @@ constexpr std::int64_t kArgmaxChunkGaps = 2048;
 /// candidate.
 constexpr double kNoBound = -std::numeric_limits<double>::infinity();
 
-/// Smallest tier the batched gap-bound kernel takes. Measured: below
-/// ~tens of gaps (the RMI per-model regime) the staging pass costs more
-/// than the vector lanes recover.
-constexpr std::size_t kBatchMinTierGaps = 64;
+/// Smallest run of gaps the batched gap-bound kernel takes. Below ~tens
+/// of gaps (the RMI per-model regime, measured on whole tiers) the
+/// staging pass costs more than the vector lanes recover; a 64-gap
+/// sub-block, and a group's shorter last one down to this size, take
+/// the kernel.
+constexpr std::size_t kBatchMinGaps = 32;
 
-/// Whole-chain error-margin unit for the bound arithmetic: ~450x the
-/// IEEE double rounding unit (2^-52 ~ 2.2e-16). Each margin term below
-/// multiplies kBoundEps by an upper bound on the *component magnitudes*
-/// of its expression (never the possibly-cancelled result); the true
-/// rounding error of each <10-op chain is below ~10 units of 2.2e-16
-/// relative to those magnitudes, so one kBoundEps unit dominates it —
-/// including the int128->double input conversions and the (much
-/// smaller) long-double rounding of the exact evaluation the bound must
-/// majorize — with ~50x headroom, while costing a fraction of full
-/// per-op interval propagation.
-constexpr double kBoundEps = 1e-13;
+/// Units per sub-block, the skeleton's second bound level. A group of
+/// at most this many units skips the level.
+constexpr std::int64_t kSubBlockUnits = 64;
+
+/// Groups whose bound inputs the group-bound pass prefetches ahead of
+/// the one it bounds. The inputs sit in per-group heap arrays, so the
+/// pass is bound by memory latency, not arithmetic, once n outgrows the
+/// cache.
+constexpr std::size_t kPrefetchGroups = 4;
+
+/// Sub-blocks of a group of \p m units; 0 when it skips the level.
+inline std::int64_t SubBlockCount(std::int64_t m) {
+  return m > kSubBlockUnits ? (m + kSubBlockUnits - 1) / kSubBlockUnits : 0;
+}
+
+/// Forward-error arithmetic for the bounds (Higham, *Accuracy and
+/// Stability of Numerical Algorithms*, 2nd ed., section 3.1): a value
+/// computed through k roundings of unit roundoff u from exact inputs is
+/// within gamma_k = k u / (1 - k u) of the exact value, relative to the
+/// magnitudes of the terms involved. Each margin below counts the
+/// roundings of its own expression, input conversions included, plus
+/// two for the margin's own arithmetic.
+constexpr double kUnitRound = std::numeric_limits<double>::epsilon() / 2;
+constexpr long double kUnitRoundLd =
+    std::numeric_limits<long double>::epsilon() / 2;
+constexpr double Gamma(int k) { return k * kUnitRound / (1 - k * kUnitRound); }
+constexpr long double GammaLd(int k) {
+  return k * kUnitRoundLd / (1 - k * kUnitRoundLd);
+}
 
 inline double AbsD(double v) { return v < 0 ? -v : v; }
 
+/// The smallest double >= v.
+double RoundUpToDouble(long double v) {
+  double d = static_cast<double>(v);
+  if (static_cast<long double>(d) < v) {
+    d = std::nextafter(d, std::numeric_limits<double>::infinity());
+  }
+  return d;
+}
+
 }  // namespace
 
-/// Round-constant part of the admissible upper bound on the Theorem 1
-/// loss after inserting one key into the current n_ keys: the per-gap
-/// bound (Upper) and the per-tier range bound (UpperRange) of the gap
-/// candidate source.
+/// Per-scan context of the admissible double-precision upper bounds on
+/// the Theorem 1 loss after one edit of the current n keys: an insertion
+/// (sign +1, n1 = n + 1 points) or a removal (sign -1, n1 = n - 1). The
+/// gap source bounds insertions with it, the key source removals.
 ///
-/// With x = kp - shift, c = count_less, S = suffix key-sum, the exact
-/// loss is  L = max(0, (VarY - Cov^2/VarX) / (n+1)^2)  where VarY is a
-/// per-round constant and Cov/VarX are affine/quadratic in x. The bound
-/// evaluates the same formula in double with directed error margins:
-/// VarY rounded up, Cov^2/VarX rounded down (interval-safe against the
-/// cancellation in both numerators), so bound >= exact loss for every
-/// candidate — the admissibility the pruned argmax needs to stay
-/// bit-identical to the exhaustive scan.
+/// A candidate is x = key - shift with (c, s): for an insertion the rank
+/// it takes (count_less + 1) and the shifted key-sum above it; for a
+/// removal its rank and the shifted key-sum above it. With K, K2, KR the
+/// current sums and SY = n1(n1+1)/2, the edited numerators are
+///   VarX = V(x) = n1 K2 - K^2 + sign * x (n x - 2K),
+///   Cov        = n1 KR - K SY + sign * (n1 s + x (n1 c - SY)).
+/// The loss numerator N = VarY - Cov^2/VarX cancels nearly completely
+/// (both terms ~n^4/12). Expanding around one candidate of the scan, the
+/// reference r, with exact Int128 numerators Vr, Cr removes the
+/// cancellation exactly:
+///   N = Dr + T,  Dr = VarY - Qr,  Qr = Cr^2 / Vr,
+///   T = [Qr dv - dc (2 Cr + dc)] / (Vr + dv),
+/// where dv = VarX - Vr and dc = Cov - Cr. Dr is computed once per scan
+/// in long double; per candidate only dv, dc and T are formed in double,
+/// so their rounding (gamma_k on the terms of dv and dc, ~n x^2 and
+/// n1 s) scales with the edit, not with VarY. The margins use the scan's
+/// largest terms, from the largest |x| of any candidate or key (x_max),
+/// |s| <= n x_max and c <= n1 + 1, so they are per-scan constants and
+/// the per-candidate arithmetic stays as short as the bound itself. N grows with VarX and, while Cov > 0, falls with
+/// Cov, so dv is rounded up and dc down before T is evaluated. The bound
+/// must also dominate the long-double rounding of the exact evaluation
+/// (five roundings on Cov^2/VarX <= VarY), a per-scan constant folded
+/// into Dr.
+///
+/// Group bounds (UpperLine) take a line that stays below Cov over a key
+/// range: the left tangent for gap tiers (UpperRange), the chord through
+/// a run's end keys for removal (UpperBlock). Every candidate's
+/// Cov^2/VarX is then at least g(x) = line(x)^2 / V(x) while the line
+/// stays positive, and g's minimum over the range is at an end or at its
+/// one interior critical point. For the convex insertion parabola that
+/// point is a maximum of g (g is 0 at the line's root and tends to one
+/// limit at both infinities), so only the ends count.
 struct LossLandscape::BoundCtx {
-  double n1 = 0;          // n + 1
-  double inv_n12_ub = 0;  // (1 + slack) / (n+1)^2, rounded up
-  double sum_y = 0;       // sum of ranks 1..n+1
-  double var_y_ub = 0;    // (n+1)*sumY2 - sumY^2, rounded up
-  double sum_k = 0;       // converted exact aggregates
-  double abs_sum_k = 0;
-  double sum_k2 = 0;      // >= 0
-  double sum_kr = 0;
-  double abs_sum_kr = 0;
+  /// The reference candidate, exact.
+  struct Ref {
+    Int128 x = 0;
+    Int128 c = 0;
+    Int128 s = 0;
+  };
+
+  double n = 0;        // current key count
+  double n1 = 0;       // points after the edit
+  double sy = 0;       // SY
+  double an = 0;       // sign * n
+  double a2k = 0;      // sign * 2K
+  double abs_2k = 0;
+  double an1 = 0;      // sign * n1
+  double asy = 0;      // sign * SY
+  double dv_ref = 0;   // VarX - V(0) and Cov - Cov(0, 0) at the reference
+  double dc_ref = 0;
+  double e_dv = 0;     // forward-error margins, per scan: of dv, of dc,
+  double e_dc = 0;     // of Vr + dv, of T's numerator, and the least
+  double e_vx = 0;     // certain Cr + dc
+  double e_p = 0;
+  double e_cov = 0;
+  double vr = 0;       // Vr
+  double cr = 0;       // Cr
+  double cr2 = 0;      // 2 Cr
+  double qr = 0;       // Qr
+  double dr_ub = 0;    // Dr plus every per-scan margin, rounded up
+  double inv_n12 = 0;  // 1 / n1^2, rounded up with the final roundings
+  double none_ub = 0;  // VarY / n1^2 rounded up: the bound when only
+                       // Cov^2/VarX >= 0 is certain
+  // Delta = 4 A V(0) - B^2 for V(x) = A x^2 + B x + V(0) (A = sign n,
+  // B = -sign 2K), the same at every origin, and its sign: +1 when
+  // certainly positive (insertion: V convex), -1 when certainly negative
+  // (removal: V concave), 0 otherwise.
+  double delta = 0;
+  double e_delta = 0;
+  int parabola = 0;
   bool usable = false;
 
-  static BoundCtx Make(std::int64_t n, Int128 sum_k, Int128 sum_k2,
-                       Int128 sum_kr) {
+  /// \p x_max bounds |x| of every candidate and every key.
+  static BoundCtx Make(int sign, const Aggregates& agg,
+                       const RankMoments& mom, const Ref& ref,
+                       double x_max) {
     BoundCtx b;
-    const std::int64_t n1 = n + 1;
-    const Int128 sy = SumRanks(n1);
-    const Int128 var_y =
-        static_cast<Int128>(n1) * SumRankSquares(n1) - sy * sy;
-    b.n1 = static_cast<double>(n1);
-    const double n12_lo = b.n1 * b.n1 * (1.0 - 2.0 * kBoundEps);
-    b.inv_n12_ub = (1.0 + 6.0 * kBoundEps) / n12_lo;
-    b.sum_y = static_cast<double>(sy);
-    b.var_y_ub = static_cast<double>(var_y) * (1.0 + 2.0 * kBoundEps);
-    b.sum_k = static_cast<double>(sum_k);
-    b.abs_sum_k = AbsD(b.sum_k);
-    b.sum_k2 = static_cast<double>(sum_k2);
-    b.sum_kr = static_cast<double>(sum_kr);
-    b.abs_sum_kr = AbsD(b.sum_kr);
-    b.usable = std::isfinite(b.var_y_ub) && std::isfinite(b.sum_k) &&
-               std::isfinite(b.sum_k2) && std::isfinite(b.sum_kr) &&
-               std::isfinite(b.sum_y) && std::isfinite(b.inv_n12_ub) &&
-               b.inv_n12_ub > 0;
+    const Int128 n1 = mom.n;
+    if (n1 < 2) return b;  // The regression needs two points.
+    const Int128 v_0 = n1 * agg.sum_k2 - agg.sum_k * agg.sum_k;
+    const Int128 c_0 = n1 * agg.sum_kr - agg.sum_k * mom.sum_y;
+    const Int128 dv_r = sign * ref.x * (agg.n * ref.x - 2 * agg.sum_k);
+    const Int128 dc_r =
+        sign * (n1 * ref.s + ref.x * (n1 * ref.c - mom.sum_y));
+    const Int128 vr = v_0 + dv_r;
+    const Int128 cr = c_0 + dc_r;
+    if (vr <= 0) return b;
+    const long double cr_ld = ToLongDouble(cr);
+    const long double qr_ld = cr_ld * cr_ld / ToLongDouble(vr);
+    const long double dr_ld = mom.var_y_ld - qr_ld;
+    // qr_ld: five roundings (Cr twice, the square, Vr, the quotient);
+    // dr_ld: one more. The exact evaluation adds at most gamma_5 * VarY
+    // to its numerator; gamma_8 covers that and this sum's roundings.
+    const long double slack = GammaLd(7) * qr_ld +
+                              GammaLd(2) * (dr_ld < 0 ? -dr_ld : dr_ld) +
+                              GammaLd(8) * mom.var_y_ld;
+    b.dr_ub = RoundUpToDouble(dr_ld + slack);
+    b.none_ub = RoundUpToDouble(mom.var_y_ld * (1 + GammaLd(8)) / mom.n2) *
+                (1 + Gamma(2));
+    b.n = static_cast<double>(agg.n);
+    b.n1 = static_cast<double>(mom.n);
+    b.sy = static_cast<double>(mom.sum_y);
+    b.an = sign * b.n;
+    b.a2k = sign * 2.0 * static_cast<double>(agg.sum_k);
+    b.abs_2k = AbsD(b.a2k);
+    b.an1 = sign * b.n1;
+    b.asy = sign * b.sy;
+    b.dv_ref = static_cast<double>(dv_r);
+    b.dc_ref = static_cast<double>(dc_r);
+    b.vr = static_cast<double>(vr);
+    b.cr = static_cast<double>(cr);
+    b.cr2 = 2.0 * b.cr;
+    b.qr = static_cast<double>(qr_ld);
+    // Rounding of n1^2, of the quotient and of the final product, plus
+    // the exact evaluation's last two long-double roundings.
+    b.inv_n12 = 1.0 / (b.n1 * b.n1) * (1 + Gamma(5));
+    // The largest |dv| and |dc| of the scan: |x| <= x_max, |s| <= n x_max
+    // (a sum of at most n shifted keys), c <= n1 + 1. The margins count
+    // each expression's roundings (input conversions included, and the
+    // shift of a range end by its own rounding) plus two for their own
+    // arithmetic.
+    const double dv_max = x_max * (b.n * x_max + b.abs_2k) + AbsD(b.dv_ref);
+    const double dc_max = b.n1 * b.n * x_max +
+                          x_max * (b.n1 * (b.n1 + 1) + b.sy) +
+                          AbsD(b.dc_ref);
+    b.e_dv = Gamma(10) * dv_max;
+    b.e_dc = Gamma(13) * dc_max;
+    const double dv_hi_max = dv_max + 2 * b.e_dv;
+    // A line's value at a range end adds at most |slope| * span <=
+    // (n1 (n1 + 1) + SY) 2 x_max to a candidate's dc.
+    const double dc_lo_max = 3 * dc_max + 2 * b.e_dc;
+    b.e_vx = Gamma(5) * (b.vr + dv_hi_max);
+    b.e_p = Gamma(7) * (b.qr * dv_hi_max +
+                        dc_lo_max * (AbsD(b.cr2) + dc_lo_max));
+    b.e_cov = Gamma(3) * (AbsD(b.cr) + dc_lo_max);
+    const double v0 = static_cast<double>(v_0);
+    b.delta = 4 * b.an * v0 - b.a2k * b.a2k;
+    b.e_delta = Gamma(6) * (4 * b.n * AbsD(v0) + b.a2k * b.a2k);
+    b.parabola = b.delta - b.e_delta > 0   ? 1
+                 : b.delta + b.e_delta < 0 ? -1
+                                           : 0;
+    b.usable = std::isfinite(b.dr_ub) && std::isfinite(b.none_ub) &&
+               std::isfinite(b.a2k) && std::isfinite(b.e_vx) &&
+               std::isfinite(b.e_p) && std::isfinite(b.e_cov) &&
+               std::isfinite(b.cr2) && std::isfinite(b.qr) &&
+               std::isfinite(b.delta + b.e_delta) &&
+               std::isfinite(b.inv_n12) && b.inv_n12 > 0;
     return b;
   }
 
-  /// Upper bound for candidate x (shifted key) with c keys below it and
-  /// suffix key-sum S. Absolute-error margins are taken against the
-  /// *component magnitudes* of each cancellation-prone difference
-  /// (VarX, Cov, and their sub-sums), never against the difference
-  /// itself, and the final combination rounds VarY up and Cov^2/VarX
-  /// down — so the returned value dominates the exact loss.
-  ///
-  /// Written branch-free (guards as selects, the possibly-poisoned
-  /// division discarded by its select) so the batched SoA re-score loop
-  /// auto-vectorizes; value-identical to the PR 3/4 branched form.
-  double Upper(double x, double c1, double s) const {
-    const double ax = AbsD(x);
-    const double sx = sum_k + x;
-    const double m_sx = abs_sum_k + ax;       // >= |sx| and its err scale
-    const double sx2 = sum_k2 + x * x;        // all terms >= 0
-    const double xc = x * c1;
-    const double axc = AbsD(xc);
-    const double sxy = sum_kr + s + xc;
-    const double m_sxy = abs_sum_kr + AbsD(s) + axc;
-    // VarX = n1*sx2 - sx^2.
-    const double a = n1 * sx2;
-    const double bb = sx * sx;
-    const double varx = a - bb;
-    const double e_varx = kBoundEps * (a + bb + m_sx * m_sx);
-    // Cov = n1*sxy - sx*sum_y.
-    const double cov = n1 * sxy - sx * sum_y;
-    const double e_cov = kBoundEps * (n1 * m_sxy + m_sx * sum_y);
-    // Lower bound on Cov^2/VarX; zero whenever the VarX interval is not
-    // strictly positive (the exact path then degenerates to VarY alone)
-    // or the Cov interval straddles zero. The unguarded division may
-    // produce inf/NaN; the select discards it exactly when it does.
-    const double cov_lo = AbsD(cov) - e_cov;
-    const double q_raw =
-        (cov_lo * cov_lo) / (varx + e_varx) * (1.0 - 4.0 * kBoundEps);
-    const double q_lb = (varx - e_varx > 0 && cov_lo > 0) ? q_raw : 0.0;
-    const double num = (var_y_ub - q_lb) + kBoundEps * (var_y_ub + q_lb);
-    const double ub = num * inv_n12_ub;
-    // Any non-finite intermediate poisons ub; "never prune" is the
-    // admissible answer.
-    return num <= 0
-               ? 0.0
-               : (ub >= 0 ? ub : std::numeric_limits<double>::infinity());
+  /// dc at candidate (x, c, s), rounded down.
+  double DeltaCovLow(double x, double c, double s) const {
+    return (an1 * s + x * (an1 * c - asy)) - dc_ref - e_dc;
   }
 
-  /// Admissible upper bound on the loss over EVERY candidate whose
-  /// shifted key lies in [xl, xl + span], given the exact (c1, prefix)
-  /// of the range's first gap — the O(1)-per-tier bound of the tiered
-  /// scan.
-  ///
-  /// Soundness. (1) Along the candidate axis, sum(XY)(x) = sum_kr +
-  /// (sum_k - p(x)) + x*c1(x) is piecewise linear with non-decreasing
-  /// slopes c1 (candidates passing a key gain a rank term) and *upward*
-  /// jumps at key crossings (crossing keys {k_i} at candidate x adds
-  /// sum(x - k_i) >= 0), so Cov(x) = n1*sum(XY) - (sum_k + x)*sum_y —
-  /// also piecewise linear with non-decreasing slopes n1*c1 - sum_y —
-  /// lies above its left-endpoint tangent T(x) = a + b*x over the whole
-  /// range. (2) If T > 0 on the range then q(x) = Cov(x)^2 / VarX(x)
-  /// >= g(x) = T(x)^2 / V(x), where V(x) = VarX(x) = A x^2 + B x + C
-  /// (A = n1-1, B = -2 sum_k, C = n1 sum_k2 - sum_k^2) is the same
-  /// gap-independent positive-definite parabola for every candidate.
-  /// (3) g has exactly two finite critical points: the zero of T
-  /// (outside the range, by the positivity check) and one extremum
-  /// whose critical value is the tangency level m* = 4(A a^2 - B a b +
-  /// C b^2) / (4AC - B^2) (> 0: the numerator is the positive-definite
-  /// V-form evaluated at (a, -b); the denominator is -disc(V) > 0), so
-  /// min over the range of g >= min(g(xl), g(xh), m*). Evaluating g at
-  /// matched endpoints preserves the Cov^2/VarX cancellation that makes
-  /// the flat loss landscape separable at all — bounding min Cov and
-  /// max VarX independently is hopeless here (measured: never skips a
-  /// tier). Directed error margins follow the same component-magnitude
-  /// scheme as Upper.
-  double UpperRange(double xl, double span, double c1l, double pl) const {
-    const double xh = xl + span;
-    // Cov at the left endpoint (exact first-gap inputs), rounded down.
-    const double s = sum_k - pl;
-    const double m_s = abs_sum_k + AbsD(pl);
-    const double xc = xl * c1l;
-    const double sxy = sum_kr + s + xc;
-    const double m_sxy = abs_sum_kr + m_s + AbsD(xc);
-    const double sxl = sum_k + xl;
-    const double m_sxl = abs_sum_k + AbsD(xl);
-    const double covl = n1 * sxy - sxl * sum_y;
-    const double e_covl = kBoundEps * (n1 * m_sxy + m_sxl * sum_y);
-    // Tangent T(x) = a + b x with both coefficients rounded toward the
-    // admissible side (T must stay below the true Cov).
-    const double slope = n1 * c1l - sum_y;
-    const double e_slope = kBoundEps * (n1 * c1l + sum_y);
-    const double b = slope - e_slope;
-    const double a = (covl - e_covl) - b * xl;
-    const double t_lo = covl - e_covl;           // T(xl)
-    const double t_hi = t_lo + b * span;         // T(xh), rounded down
-    const double e_t_hi = kBoundEps * (AbsD(t_lo) + AbsD(b) * span);
-    double q_lb = 0;
-    if (t_lo > 0 && t_hi - e_t_hi > 0) {
-      // V at the endpoints, rounded up.
-      const double sxh = sum_k + xh;
-      const double m_sxh = abs_sum_k + AbsD(xh);
-      const double vxl = n1 * (sum_k2 + xl * xl) - sxl * sxl;
-      const double e_vxl =
-          kBoundEps * (n1 * (sum_k2 + xl * xl) + m_sxl * m_sxl);
-      const double vxh = n1 * (sum_k2 + xh * xh) - sxh * sxh;
-      const double e_vxh =
-          kBoundEps * (n1 * (sum_k2 + xh * xh) + m_sxh * m_sxh);
-      // Endpoint values of g, rounded down.
-      double lb = std::numeric_limits<double>::infinity();
-      if (vxl + e_vxl > 0) {
-        lb = std::min(lb, (t_lo * t_lo) / (vxl + e_vxl) *
-                              (1.0 - 4.0 * kBoundEps));
-      }
-      const double th = t_hi - e_t_hi;
-      if (vxh + e_vxh > 0) {
-        lb = std::min(lb, (th * th) / (vxh + e_vxh) *
-                              (1.0 - 4.0 * kBoundEps));
-      }
-      // Interior tangency level m*, rounded down. Guarded on the
-      // denominator staying provably positive (V strictly positive
-      // definite); otherwise the interior extremum cannot be certified
-      // and the tier is simply not pruned.
-      const double cA = n1 - 1.0;
-      const double cB = -2.0 * sum_k;
-      const double cC = n1 * sum_k2 - sum_k * sum_k;
-      const double m_cC = n1 * sum_k2 + abs_sum_k * abs_sum_k;
-      const double den = 4.0 * cA * cC - cB * cB;
-      const double e_den =
-          kBoundEps * (4.0 * cA * m_cC + cB * cB);
-      const double num_m =
-          4.0 * (cA * a * a - cB * a * b + cC * b * b);
-      const double e_num_m = 4.0 * kBoundEps *
-          (cA * a * a + AbsD(cB * a * b) + m_cC * b * b);
-      if (den - e_den > 0) {
-        const double m_star =
-            (num_m - e_num_m) / (den + e_den) * (1.0 - 4.0 * kBoundEps);
-        lb = std::min(lb, m_star);
-      } else {
-        lb = 0;
-      }
-      if (lb > 0 && std::isfinite(lb)) q_lb = lb;
-    }
-    const double num = (var_y_ub - q_lb) + kBoundEps * (var_y_ub + q_lb);
-    if (num <= 0) return 0;
-    const double ub = num * inv_n12_ub;
-    // Any non-finite/NaN intermediate poisons ub; "never prune" is the
-    // admissible answer.
-    if (!(ub >= 0)) return std::numeric_limits<double>::infinity();
-    return ub;
-  }
-};
-
-/// The removal-side dual of BoundCtx: an admissible double-precision
-/// upper bound on the Theorem 1 loss of the current n keys with one key
-/// deleted. With x = kp - shift, r = the key's 1-based rank and
-/// sa = the shifted key-sum above it, the exact aggregates are
-///   sum(X) = sum_k - x, sum(X^2) = sum_k2 - x^2,
-///   sum(XY) = sum_kr - x*r - sa   (keys above kp lose one rank),
-/// and ranks become a permutation of 1..n-1. The bound evaluates the
-/// same formula in double with the component-magnitude margin scheme of
-/// BoundCtx (VarY rounded up, Cov^2/VarX down; differences margined
-/// against the sum of their term magnitudes, which for the subtractive
-/// aggregates here means sum_k2 + x^2 etc.), so bound >= exact loss for
-/// every stored key — the admissibility the pruned removal argmax needs
-/// to stay bit-identical to the exhaustive index-ordered scan.
-struct LossLandscape::RemovalBoundCtx {
-  double n1 = 0;          // n - 1
-  double inv_n12_ub = 0;  // (1 + slack) / (n-1)^2, rounded up
-  double sum_y = 0;       // sum of ranks 1..n-1
-  double var_y_ub = 0;    // (n-1)*sumY2 - sumY^2, rounded up
-  double sum_k = 0;       // converted exact aggregates
-  double abs_sum_k = 0;
-  double sum_k2 = 0;      // >= 0
-  double sum_kr = 0;
-  double abs_sum_kr = 0;
-  bool usable = false;
-
-  static RemovalBoundCtx Make(std::int64_t n, Int128 sum_k, Int128 sum_k2,
-                              Int128 sum_kr) {
-    RemovalBoundCtx b;
-    const std::int64_t n1 = n - 1;
-    if (n1 < 2) return b;  // Regression needs two survivors.
-    const Int128 sy = SumRanks(n1);
-    const Int128 var_y =
-        static_cast<Int128>(n1) * SumRankSquares(n1) - sy * sy;
-    b.n1 = static_cast<double>(n1);
-    const double n12_lo = b.n1 * b.n1 * (1.0 - 2.0 * kBoundEps);
-    b.inv_n12_ub = (1.0 + 6.0 * kBoundEps) / n12_lo;
-    b.sum_y = static_cast<double>(sy);
-    b.var_y_ub = static_cast<double>(var_y) * (1.0 + 2.0 * kBoundEps);
-    b.sum_k = static_cast<double>(sum_k);
-    b.abs_sum_k = AbsD(b.sum_k);
-    b.sum_k2 = static_cast<double>(sum_k2);
-    b.sum_kr = static_cast<double>(sum_kr);
-    b.abs_sum_kr = AbsD(b.sum_kr);
-    b.usable = std::isfinite(b.var_y_ub) && std::isfinite(b.sum_k) &&
-               std::isfinite(b.sum_k2) && std::isfinite(b.sum_kr) &&
-               std::isfinite(b.sum_y) && std::isfinite(b.inv_n12_ub) &&
-               b.inv_n12_ub > 0;
-    return b;
+  /// dv at x, rounded up.
+  double DeltaVarHigh(double x) const {
+    return x * (an * x - a2k) - dv_ref + e_dv;
   }
 
-  /// Branch-free like BoundCtx::Upper, so the per-candidate pass over
-  /// the removal SoA (x from the sorted keys, r = i+1 an induction
-  /// variable, sa from the int64 suffix array) auto-vectorizes.
-  double Upper(double x, double r, double sa) const {
-    const double ax = AbsD(x);
-    const double sx = sum_k - x;
-    const double m_sx = abs_sum_k + ax;
-    const double sx2 = sum_k2 - x * x;
-    const double m_sx2 = sum_k2 + x * x;
-    const double xr = x * r;
-    const double sxy = sum_kr - xr - sa;
-    const double m_sxy = abs_sum_kr + AbsD(xr) + AbsD(sa);
-    // VarX = n1*sx2 - sx^2 (sx2 itself is a difference here, so its
-    // magnitude bound m_sx2 replaces the nonnegative a of the insertion
-    // form).
-    const double varx = n1 * sx2 - sx * sx;
-    const double e_varx = kBoundEps * (n1 * m_sx2 + m_sx * m_sx);
-    // Cov = n1*sxy - sx*sum_y.
-    const double cov = n1 * sxy - sx * sum_y;
-    const double e_cov = kBoundEps * (n1 * m_sxy + m_sx * sum_y);
-    const double cov_lo = AbsD(cov) - e_cov;
-    const double q_raw =
-        (cov_lo * cov_lo) / (varx + e_varx) * (1.0 - 4.0 * kBoundEps);
-    const double q_lb = (varx - e_varx > 0 && cov_lo > 0) ? q_raw : 0.0;
-    const double num = (var_y_ub - q_lb) + kBoundEps * (var_y_ub + q_lb);
-    const double ub = num * inv_n12_ub;
-    return num <= 0
-               ? 0.0
-               : (ub >= 0 ? ub : std::numeric_limits<double>::infinity());
+  /// Upper bound on T at x for every candidate whose dc is at least
+  /// \p dc_lo; +inf where Cov > 0 or VarX > 0 is not certain.
+  /// Branch-free (guards as selects, the possibly poisoned division
+  /// discarded by its select), so the batched per-unit loops
+  /// auto-vectorize.
+  double TermUpper(double x, double dc_lo) const {
+    const double dv_hi = DeltaVarHigh(x);
+    const double vx = vr + dv_hi;
+    const bool ok = cr + dc_lo > e_cov && vx - e_vx - 2 * e_dv > 0;
+    const double p_hi = qr * dv_hi - dc_lo * (cr2 + dc_lo) + e_p;
+    const double t = p_hi / (p_hi >= 0 ? vx - e_vx : vx + e_vx);
+    return ok ? t : std::numeric_limits<double>::infinity();
   }
 
-  /// Cov at one candidate, rounded down, with its magnitude scale.
-  void CovLow(double x, double r, double sa, double* cov_lo,
-              double* m_cov) const {
-    const double xr = x * r;
-    const double sxy = sum_kr - xr - sa;
-    const double m_sxy = abs_sum_kr + AbsD(xr) + AbsD(sa);
-    const double sx = sum_k - x;
-    const double m_sx = abs_sum_k + AbsD(x);
-    const double cov = n1 * sxy - sx * sum_y;
-    const double e_cov = kBoundEps * (n1 * m_sxy + m_sx * sum_y);
-    *cov_lo = cov - e_cov;
-    *m_cov = n1 * m_sxy + m_sx * sum_y;
+  /// The loss bound from an upper bound \p t on T, capped at none_ub.
+  double Finish(double t) const {
+    const double num = dr_ub + t + Gamma(3) * (AbsD(dr_ub) + AbsD(t));
+    const double ub = num * inv_n12;
+    // A non-finite or NaN intermediate leaves no pruning.
+    const double bound =
+        num <= 0 ? 0.0
+                 : (ub >= 0 ? ub : std::numeric_limits<double>::infinity());
+    return bound < none_ub ? bound : none_ub;
   }
 
-  /// V(x) = n1*(sum_k2 - x^2) - (sum_k - x)^2 — the removal-side VarX
-  /// parabola (downward: A = -(n1+1)), rounded up, plus its magnitude.
-  void VarXHigh(double x, double* v_ub, double* m_v) const {
-    const double sx = sum_k - x;
-    const double m_sx = abs_sum_k + AbsD(x);
-    const double v = n1 * (sum_k2 - x * x) - sx * sx;
-    const double m = n1 * (sum_k2 + x * x) + m_sx * m_sx;
-    *v_ub = v + kBoundEps * m;
-    *m_v = m;
+  /// Upper bound for one candidate (x, c, s).
+  double Upper(double x, double c, double s) const {
+    return Finish(TermUpper(x, DeltaCovLow(x, c, s)));
   }
 
-  /// Admissible upper bound on the removal loss over EVERY candidate in
-  /// a block of consecutive stored keys, from the block's exact
-  /// endpoint records (x, rank, suffix-sum).
-  ///
-  /// Soundness. Along the stored keys the covariance after removal,
-  /// Cov(x_j) = n1*sum_kr - K*sy - n1*(x_j r_j + sa_j) + sy*x_j, steps
-  /// by (x_{j+1}-x_j)*(sy - n1*r_j) between neighbours — slopes strictly
-  /// decreasing in j — so the candidate points form a *concave* chain
-  /// and lie on or above the chord through the block's endpoints; a
-  /// chord through endpoint values rounded down (and re-lowered by the
-  /// chord arithmetic's own error scale) stays below Cov at every
-  /// candidate. If that chord is positive at both ends it is positive
-  /// across the block, and q_j = Cov_j^2 / V(x_j) >= C(x)^2 / V(x) over
-  /// the block's x-range. V is the same downward (A<0) parabola for
-  /// every candidate and positive at both endpoints, hence positive on
-  /// the whole range, so the continuous min of C^2/V is attained at an
-  /// endpoint or at the interior critical value m* = 4(A a^2 - B a b +
-  /// C_v b^2)/(4 A C_v - B^2) (the nonzero extremal value of the
-  /// ratio); with den = 4AC_v - B^2 < 0 here, a nonnegative numerator
-  /// makes m* <= 0 — impossible for the positive ratio, so endpoints
-  /// suffice — and a negative numerator yields the m* >= 0 candidate,
-  /// folded in rounded down. Directed error margins follow the
-  /// component-magnitude scheme throughout.
-  double UpperBlock(double xf, double rf, double saf, double xl, double rl,
-                    double sal) const {
-    double cf = 0;
-    double mf = 0;
-    double cl = 0;
-    double ml = 0;
-    CovLow(xf, rf, saf, &cf, &mf);
-    CovLow(xl, rl, sal, &cl, &ml);
-    double q_lb = 0;
+  /// Upper bound over every candidate in [xa, xb] whose dc lies above
+  /// the line through (xa, ta) with slope \p b.
+  double UpperLine(double xa, double xb, double ta, double b) const {
+    const double span = xb - xa;
+    const double tb = ta + b * span;  // The line at xb, rounded.
+    const double e_tb = Gamma(5) * (AbsD(ta) + AbsD(b) * span);
+    const double t_a = TermUpper(xa, ta);
+    const double ub = Finish(std::max(t_a, TermUpper(xb, tb - e_tb)));
+    // An end that is not certified leaves no pruning; the convex
+    // insertion parabola has no interior minimum of g.
+    if (!(ub < none_ub) || parabola > 0) return ub;
+    // g' has the sign of L = 2b V - (Cr + line) V', linear in x. An
+    // interior minimum needs L <= 0 at xa and L >= 0 at xb.
+    auto l_at = [this, b](double x, double t, double e_t, double* err,
+                          double* v_lo) {
+      const double dv = DeltaVarHigh(x) - e_dv;
+      const double v = vr + dv;
+      const double dvx = 2 * an * x - a2k;  // V'(x)
+      const double m_dvx = 2 * n * AbsD(x) + abs_2k;
+      *err = Gamma(9) * (2 * AbsD(b) * (vr + AbsD(dv)) +
+                         (AbsD(cr) + AbsD(t)) * m_dvx) +
+             2 * AbsD(b) * e_dv + e_t * m_dvx;
+      *v_lo = v - e_vx - 2 * e_dv;
+      return 2 * b * v - (cr + t) * dvx;
+    };
+    double e_la = 0;
+    double e_lb = 0;
+    double va_lo = 0;
+    double vb_lo = 0;
+    const double la = l_at(xa, ta, 0, &e_la, &va_lo);
+    const double lb = l_at(xb, tb, e_tb, &e_lb, &vb_lo);
+    if (la - e_la > 0 || lb + e_lb < 0) return ub;
+    if (parabola == 0 || !(va_lo > 0)) return none_ub;
+    // At the origin xa, V = A y^2 + V'(xa) y + V(xa) and the line is
+    // (Cr + ta) + b y, so the critical value of g is
+    // m* = 4(A a^2 - V'(xa) a b + V(xa) b^2) / Delta with a = Cr + ta,
+    // and exactly g(xa) - m* = L(xa)^2 / (V(xa) (-Delta)): the interior
+    // minimum lies that far below g(xa), hence T that far above T(xa).
+    const double la_hi = AbsD(la) + e_la;
+    const double drop =
+        la_hi * la_hi / (va_lo * (-delta - e_delta)) * (1 + Gamma(4));
+    return Finish(t_a + drop);
+  }
+
+  /// The tier bound of the gap source: over every candidate in
+  /// [xl, xh], from the exact (c, s) of the range's first gap. Along
+  /// the candidate axis Cov is continuous, piecewise linear and convex:
+  /// inside a gap its slope is n1 c - SY, and passing a key adds one to
+  /// c. It lies above its tangent at xl with that slope, rounded down
+  /// here.
+  double UpperRange(double xl, double xh, double c, double s) const {
+    const double slope = an1 * c - asy;
+    const double slope_lo = slope - Gamma(4) * (n1 * AbsD(c) + sy);
+    return UpperLine(xl, xh, DeltaCovLow(xl, c, s), slope_lo);
+  }
+
+  /// The run bound of the key source: over every stored key between
+  /// the first (xf, rf, sf) and the last (xl, rl, sl) of a run. Cov
+  /// after a removal steps by (x_{j+1} - x_j)(SY - n1 r_j) between
+  /// neighbours, slopes decreasing in j, so the stored keys form a
+  /// concave chain above the chord through its ends, lowered here by
+  /// its own rounding.
+  double UpperBlock(double xf, double rf, double sf, double xl, double rl,
+                    double sl) const {
     const double span = xl - xf;
-    if (cf > 0 && cl > 0 && span > 0) {
-      // Chord through the lowered endpoints, re-lowered by its own
-      // arithmetic error scale so it minorizes Cov between them too.
-      const double b = (cl - cf) / span;
-      const double a_raw = cf - b * xf;
-      const double slack =
-          kBoundEps * (AbsD(cf) + AbsD(cl) + AbsD(b) * span + mf + ml);
-      const double a = a_raw - slack;
-      const double t_f = a + b * xf;
-      const double t_l = a + b * xl;
-      double v_f = 0;
-      double m_vf = 0;
-      double v_l = 0;
-      double m_vl = 0;
-      VarXHigh(xf, &v_f, &m_vf);
-      VarXHigh(xl, &v_l, &m_vl);
-      if (t_f > 0 && t_l > 0 && v_f > 0 && v_l > 0) {
-        double lb = std::min(
-            (t_f * t_f) / v_f * (1.0 - 4.0 * kBoundEps),
-            (t_l * t_l) / v_l * (1.0 - 4.0 * kBoundEps));
-        // Interior critical value m* of (a + b x)^2 / (A x^2 + B x + C).
-        const double cA = -(n1 + 1.0);
-        const double cB = 2.0 * sum_k;
-        const double cC = n1 * sum_k2 - sum_k * sum_k;
-        const double m_cC = n1 * sum_k2 + abs_sum_k * abs_sum_k;
-        const double den = 4.0 * cA * cC - cB * cB;
-        const double e_den = kBoundEps * (4.0 * AbsD(cA) * m_cC + cB * cB);
-        const double num_m = 4.0 * (cA * a * a - cB * a * b + cC * b * b);
-        const double e_num_m =
-            4.0 * kBoundEps *
-            (AbsD(cA) * a * a + AbsD(cB * a * b) + m_cC * b * b);
-        if (den + e_den < 0) {
-          if (num_m + e_num_m < 0) {
-            // m* > 0: a certified lower bound is |num|_lo / |den|_ub.
-            const double m_star = (-(num_m + e_num_m)) /
-                                  (e_den - den) * (1.0 - 4.0 * kBoundEps);
-            lb = std::min(lb, m_star);
-          }
-          // num >= 0 -> m* <= 0: no positive interior critical value;
-          // the endpoint minimum already covers the range.
-        } else {
-          // Cannot certify the parabola's orientation: no pruning.
-          lb = 0;
-        }
-        if (lb > 0 && std::isfinite(lb)) q_lb = lb;
-      }
-    }
-    const double num = (var_y_ub - q_lb) + kBoundEps * (var_y_ub + q_lb);
-    if (num <= 0) return 0;
-    const double ub = num * inv_n12_ub;
-    if (!(ub >= 0)) return std::numeric_limits<double>::infinity();
-    return ub;
+    if (!(span > 0)) return none_ub;
+    const double ta = DeltaCovLow(xf, rf, sf);
+    const double tb = DeltaCovLow(xl, rl, sl);
+    const double b = (tb - ta) / span;
+    const double slack = Gamma(5) * (AbsD(ta) + AbsD(tb) + AbsD(b) * span);
+    return UpperLine(xf, xl, ta - slack, b);
   }
 };
 
@@ -962,11 +877,15 @@ void LossLandscape::PoisonArgmaxScratchForTesting() const {
   constexpr std::int64_t kCnt =
       std::numeric_limits<std::int64_t>::max() / 3;
   ScratchUnpoisonAll(&argmax_bounds_);
+  ScratchUnpoisonAll(&argmax_sub_bounds_);
   ScratchUnpoisonAll(&argmax_tier_bounds_);
   ScratchUnpoisonAll(&argmax_tier_suffix_max_);
   ScratchUnpoisonAll(&argmax_tier_suffix_cnt_);
   ScratchUnpoisonAll(&argmax_soa_);
   std::fill(argmax_bounds_.begin(), argmax_bounds_.end(), dnan);
+  std::fill(argmax_sub_bounds_.begin(), argmax_sub_bounds_.end(), dnan);
+  // A stale "staged" flag would send the sweep to NaN unit bounds.
+  std::fill(argmax_seed_staged_.begin(), argmax_seed_staged_.end(), 1);
   std::fill(argmax_tier_bounds_.begin(), argmax_tier_bounds_.end(), dnan);
   std::fill(argmax_tier_suffix_max_.begin(), argmax_tier_suffix_max_.end(),
             dnan);
@@ -978,8 +897,9 @@ void LossLandscape::PoisonArgmaxScratchForTesting() const {
 // ---------------------------------------------------------------------
 // The argmax skeleton. Insertion and removal run one branch-and-bound
 // scan over a *candidate source*: groups of consecutive candidate units
-// in key order (gap tiers or key blocks). A source supplies the group
-// bound, the per-unit bounds of one group (-inf for a unit with no
+// in key order (gap tiers or key blocks). A source supplies the bound
+// of a group, the bound of any run of a group's units (the sub-block
+// level), the per-unit bounds of such a run (-inf for a unit with no
 // admissible candidate) and the exact evaluation of one unit; the
 // skeleton owns the walk, the seeding, the pruning and the fan-out.
 // Sources are plain structs passed as template arguments, so the bound
@@ -1030,35 +950,76 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
   // anything another reads. Live units, counted for a pool only: those
   // of every group whose bound reaches it, which the sweep may re-score
   // (all of them when exhaustive).
+  const std::size_t sub_stride =
+      static_cast<std::size_t>(std::max<std::int64_t>(
+          1, SubBlockCount(static_cast<std::int64_t>(stride))));
   ArgmaxFold incumbent;
   std::size_t seed_g = groups;
   std::int64_t live_units = src.total;
   if (mode == ScanMode::kTiered) {
-    // Shared: the group bounds, and the seed group's unit bounds in
-    // slot 0 of argmax_bounds_ (kept when a fan-out grows the buffer).
-    // Slot 1 is the serial sweep's.
+    // Shared: the group bounds, the seed group's sub-block bounds in
+    // slot 0 of argmax_sub_bounds_ and its staged unit bounds in slot 0
+    // of argmax_bounds_ (kept when a fan-out grows the buffers). Slot 1
+    // of each is the serial sweep's.
     EnsureScratchSize(&argmax_tier_bounds_, groups, &scratch_reallocs_);
     EnsureScratchSize(&argmax_bounds_, 2 * stride, &scratch_reallocs_);
+    EnsureScratchSize(&argmax_sub_bounds_, 2 * sub_stride,
+                      &scratch_reallocs_);
     EnsureScratchSize(&argmax_soa_, Src::kSoaLanes * stride,
                       &scratch_reallocs_);
     double* group_bound = argmax_tier_bounds_.data();
+    for (std::size_t g = 0; g < std::min(groups, kPrefetchGroups); ++g) {
+      src.Prefetch(g);
+    }
     for (std::size_t g = 0; g < groups; ++g) {
+      if (g + kPrefetchGroups < groups) src.Prefetch(g + kPrefetchGroups);
       group_bound[g] = src.GroupBound(g);
     }
     stats->bound_evals += static_cast<std::int64_t>(groups);
 
-    // Seed inside the group with the highest bound (the first maximum,
-    // so every partition takes the same seed): its unit bounds are
-    // staged once for the sweep to reuse, and its best unit is
-    // exact-checked and marked consumed. Groups are never empty.
+    // Seed at the best unit bound of the group with the highest bound
+    // (first maxima, so every partition takes the same seed). Its
+    // sub-blocks are bounded and their unit bounds staged best-first
+    // until no unstaged sub-block's bound exceeds the best unit bound
+    // staged so far, which is then the group's best; the sweep reuses
+    // every staged bound. The seed unit is exact-checked and marked
+    // consumed. Groups are never empty.
     seed_g = static_cast<std::size_t>(
         std::max_element(group_bound, group_bound + groups) - group_bound);
     if (seed_g != groups) {
+      const std::int64_t m = src.Units(seed_g);
+      const std::int64_t subs = SubBlockCount(m);
+      const double* seed_subs = argmax_sub_bounds_.data();
+      const std::int64_t first_sb =
+          SubBlockBounds(src, seed_g, argmax_sub_bounds_.data(), stats);
+      auto& staged = PrepareScratch(&argmax_seed_staged_,
+                                    static_cast<std::size_t>(subs));
+      staged.assign(static_cast<std::size_t>(subs), 0);
       double* seed_bounds = argmax_bounds_.data();
-      src.UnitBounds(seed_g, seed_bounds, argmax_soa_.data(), stats);
-      const std::int64_t seed_j =
-          std::max_element(seed_bounds, seed_bounds + src.Units(seed_g)) -
-          seed_bounds;
+      std::int64_t seed_j = -1;
+      for (std::int64_t sb = first_sb; sb >= 0;) {
+        const std::int64_t begin = sb * kSubBlockUnits;
+        const std::int64_t end =
+            subs == 0 ? m : std::min(m, begin + kSubBlockUnits);
+        src.UnitBounds(seed_g, begin, end, seed_bounds + begin,
+                       argmax_soa_.data(), stats);
+        if (subs > 0) staged[static_cast<std::size_t>(sb)] = 1;
+        const std::int64_t best_j =
+            std::max_element(seed_bounds + begin, seed_bounds + end) -
+            seed_bounds;
+        if (seed_j < 0 || seed_bounds[best_j] > seed_bounds[seed_j] ||
+            (seed_bounds[best_j] == seed_bounds[seed_j] && best_j < seed_j)) {
+          seed_j = best_j;
+        }
+        sb = -1;
+        for (std::int64_t next = 0; next < subs; ++next) {
+          if (!staged[static_cast<std::size_t>(next)] &&
+              seed_subs[next] > seed_bounds[seed_j] &&
+              (sb < 0 || seed_subs[next] > seed_subs[sb])) {
+            sb = next;
+          }
+        }
+      }
       if (seed_bounds[seed_j] != kNoBound) {
         src.Exact(seed_g, seed_j, &incumbent, stats);
         seed_bounds[seed_j] = kNoBound;
@@ -1152,6 +1113,8 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
   if (mode == ScanMode::kTiered) {
     EnsureScratchSize(&argmax_bounds_, (tasks + 1) * stride,
                       &scratch_reallocs_);
+    EnsureScratchSize(&argmax_sub_bounds_, (tasks + 1) * sub_stride,
+                      &scratch_reallocs_);
     EnsureScratchSize(&argmax_soa_, tasks * Src::kSoaLanes * stride,
                       &scratch_reallocs_);
   }
@@ -1187,6 +1150,20 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
 }
 
 template <typename Src>
+std::int64_t LossLandscape::SubBlockBounds(const Src& src, std::size_t g,
+                                           double* out,
+                                           ArgmaxStats* stats) const {
+  const std::int64_t m = src.Units(g);
+  const std::int64_t subs = SubBlockCount(m);
+  for (std::int64_t sb = 0; sb < subs; ++sb) {
+    const std::int64_t begin = sb * kSubBlockUnits;
+    out[sb] = src.SubBound(g, begin, std::min(m, begin + kSubBlockUnits));
+  }
+  stats->bound_evals += subs;
+  return subs == 0 ? 0 : std::max_element(out, out + subs) - out;
+}
+
+template <typename Src>
 void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
                                     const ArgmaxChunk& chunk,
                                     std::size_t slot, std::size_t seed_g,
@@ -1208,11 +1185,17 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
 
   // Tiered sweep in key order over the bounds RunArgmax prepared.
   // Accounting: a unit is "cached" when its group's bound disposed of
-  // it, "invalidated" when its group survived and it was scored alone.
+  // it, "invalidated" when its group survived (its sub-block's bound,
+  // and then its own, were scored).
   const std::size_t stride = src.MaxUnits();
+  const std::size_t sub_stride =
+      static_cast<std::size_t>(std::max<std::int64_t>(
+          1, SubBlockCount(static_cast<std::int64_t>(stride))));
   double* soa = argmax_soa_.data() + slot * Src::kSoaLanes * stride;
   const double* seed_bounds = argmax_bounds_.data();
+  const double* seed_subs = argmax_sub_bounds_.data();
   double* scratch = argmax_bounds_.data() + (slot + 1) * stride;
+  double* sub_scratch = argmax_sub_bounds_.data() + (slot + 1) * sub_stride;
   const double* group_bound = argmax_tier_bounds_.data();
   const double* suffix_max = argmax_tier_suffix_max_.data();
   const std::int64_t* suffix_cnt = argmax_tier_suffix_cnt_.data();
@@ -1229,19 +1212,37 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
       continue;
     }
     stats->invalidated_gaps += m;
-    const double* unit_bound = seed_bounds;
-    if (g != seed_g) {
-      src.UnitBounds(g, scratch, soa, stats);
-      unit_bound = scratch;
+    const bool seed_group = g == seed_g;
+    const std::int64_t subs = SubBlockCount(m);
+    const double* sub_bound = seed_subs;
+    if (!seed_group && subs > 0) {
+      SubBlockBounds(src, g, sub_scratch, stats);
+      sub_bound = sub_scratch;
     }
-    for (std::int64_t j = 0; j < m; ++j) {
-      const double b = unit_bound[j];
-      if (b == kNoBound) continue;  // Consumed seed, or no candidate.
-      if (below_best(b)) {
-        ++stats->pruned_gaps;
+    for (std::int64_t sb = 0; sb < std::max<std::int64_t>(subs, 1); ++sb) {
+      const std::int64_t begin = sb * kSubBlockUnits;
+      const std::int64_t end = subs == 0 ? m : std::min(m, begin + kSubBlockUnits);
+      if (subs > 0 && below_best(sub_bound[sb])) {
+        stats->pruned_gaps += end - begin;
         continue;
       }
-      src.Exact(g, j, fold, stats);
+      // Unit bounds indexed by unit: the seed group's staged ones, or
+      // this run's, fresh in the slot's scratch.
+      const double* unit_bound = seed_bounds;
+      if (!seed_group ||
+          (subs > 0 && !argmax_seed_staged_[static_cast<std::size_t>(sb)])) {
+        src.UnitBounds(g, begin, end, scratch, soa, stats);
+        unit_bound = scratch - begin;
+      }
+      for (std::int64_t j = begin; j < end; ++j) {
+        const double b = unit_bound[j];
+        if (b == kNoBound) continue;  // Consumed seed, or no candidate.
+        if (below_best(b)) {
+          ++stats->pruned_gaps;
+          continue;
+        }
+        src.Exact(g, j, fold, stats);
+      }
     }
   }
 }
@@ -1256,6 +1257,7 @@ struct LossLandscape::GapSource {
   const GapSnapshot& snap;
   const std::vector<GapGroup>& groups;
   const BoundCtx& ctx;
+  const RankMoments& mom;  // Of snap.agg.n + 1 points.
   const std::unordered_set<Key>* excluded;
   std::int64_t total;  // Units over all groups.
 
@@ -1269,6 +1271,9 @@ struct LossLandscape::GapSource {
   const TieredGaps::Tier& TierOf(std::size_t g) const {
     return ll.gaps_.tiers()[groups[g].tier];
   }
+  const TieredGaps::GapRec& Rec(std::size_t g, std::int64_t j) const {
+    return TierOf(g).gaps[groups[g].begin + static_cast<std::size_t>(j)];
+  }
   bool Excluded(Key k) const {
     return excluded != nullptr && excluded->count(k) != 0;
   }
@@ -1281,38 +1286,48 @@ struct LossLandscape::GapSource {
     return t.delta_sum - snap.prefix_adj;
   }
 
-  /// The covariance left-tangent bound over the tier's key range
-  /// (BoundCtx::UpperRange), from the tier's first gap record, or from
-  /// the group's first when the tier's lies below a removed minimum. It
-  /// ignores `excluded`: an excluded endpoint only makes it an
-  /// admissible over-estimate.
-  double GroupBound(std::size_t g) const {
-    const TieredGaps::Tier& t = TierOf(g);
-    const TieredGaps::GapRec& front = t.gaps.front().lo < snap.valid_from
-                                          ? t.gaps[groups[g].begin]
-                                          : t.gaps.front();
-    return ctx.UpperRange(static_cast<double>(front.lo - ll.shift_),
-                          static_cast<double>(t.hi - front.lo),
-                          static_cast<double>(front.cnt + CountOffset(t) + 1),
-                          static_cast<double>(front.sum + SumOffset(t)));
+  /// The covariance left-tangent bound (BoundCtx::UpperRange) over the
+  /// keys [first.lo, hi], from record \p first of tier \p t. It ignores
+  /// `excluded`: an excluded endpoint only makes it an admissible
+  /// over-estimate.
+  double RangeBound(const TieredGaps::Tier& t, const TieredGaps::GapRec& first,
+                    Key hi) const {
+    return ctx.UpperRange(
+        static_cast<double>(first.lo - ll.shift_),
+        static_cast<double>(hi - ll.shift_),
+        static_cast<double>(first.cnt + CountOffset(t) + 1),
+        static_cast<double>(snap.agg.sum_k - (first.sum + SumOffset(t))));
   }
 
-  /// max(bound(lo), bound(hi)) per gap over its non-excluded endpoints.
-  /// A whole tier of at least kBatchMinTierGaps gaps with no exclusions
-  /// takes the batched kernel: a scalar pass
-  /// unpacks the gap records into \p soa, then the branch-free
-  /// BoundCtx::Upper auto-vectorizes over it. Both paths give the same
-  /// values and count the same bound_evals.
-  void UnitBounds(std::size_t g, double* out, double* soa,
-                  ArgmaxStats* stats) const {
+  /// Starts loading the records GroupBound(g) reads.
+  void Prefetch(std::size_t g) const {
+    __builtin_prefetch(&Rec(g, 0));
+    __builtin_prefetch(&Rec(g, Units(g) - 1));
+  }
+
+  /// Over the keys of gaps [begin, end) of group \p g. A group's
+  /// records all lie in the scan range, above a removed minimum.
+  double SubBound(std::size_t g, std::int64_t begin, std::int64_t end) const {
+    return RangeBound(TierOf(g), Rec(g, begin), Rec(g, end - 1).hi);
+  }
+  double GroupBound(std::size_t g) const { return SubBound(g, 0, Units(g)); }
+
+  /// max(bound(lo), bound(hi)) per gap of [begin, end) over its
+  /// non-excluded endpoints, into out[0, end - begin). A run of at least
+  /// kBatchMinGaps gaps with no exclusions takes the batched kernel: a
+  /// scalar pass unpacks the gap records into \p soa, then the
+  /// branch-free BoundCtx::Upper auto-vectorizes over it. Both paths
+  /// give the same values and count the same bound_evals.
+  void UnitBounds(std::size_t g, std::int64_t begin, std::int64_t end,
+                  double* out, double* soa, ArgmaxStats* stats) const {
     const TieredGaps::Tier& t = TierOf(g);
-    const TieredGaps::GapRec* gaps = t.gaps.data() + groups[g].begin;
-    const auto m = static_cast<std::size_t>(Units(g));
+    const TieredGaps::GapRec* gaps = &Rec(g, begin);
+    const auto m = static_cast<std::size_t>(end - begin);
     const Key shift = ll.shift_;
     const Int128 sum_k = snap.agg.sum_k;
     const Rank cnt_off = CountOffset(t) + 1;
     const Int128 sum_off = SumOffset(t);
-    if (excluded == nullptr && m >= kBatchMinTierGaps && m == t.gaps.size()) {
+    if (excluded == nullptr && m >= kBatchMinGaps) {
       double* x_lo = soa;
       double* x_hi = soa + m;
       double* c1 = soa + 2 * m;
@@ -1355,13 +1370,13 @@ struct LossLandscape::GapSource {
   void Exact(std::size_t g, std::int64_t j, ArgmaxFold* fold,
              ArgmaxStats* stats) const {
     const TieredGaps::Tier& t = TierOf(g);
-    const TieredGaps::GapRec& r =
-        t.gaps[groups[g].begin + static_cast<std::size_t>(j)];
+    const TieredGaps::GapRec& r = Rec(g, j);
     const Rank count_less = r.cnt + CountOffset(t);
     const Int128 suffix = snap.agg.sum_k - (r.sum + SumOffset(t));
     auto offer = [&](Key kp) {
       if (Excluded(kp)) return;
-      fold->Offer(kp, snap.agg.LossAfterInsert(kp, count_less, suffix));
+      fold->Offer(kp, LossAfterInsertion(snap.agg, mom, kp, count_less,
+                                         suffix));
       ++stats->exact_evals;
     };
     offer(r.lo);
@@ -1407,7 +1422,6 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
   snap.agg = aggregates();
   snap.lo = interior_only ? min_key_ + 1 : domain_.lo;
   snap.hi = interior_only ? max_key_ - 1 : domain_.hi;
-  snap.valid_from = domain_.lo;
   return ScanGaps(snap, excluded, pool, argmax, stats);
 }
 
@@ -1420,7 +1434,6 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalWithoutEdge(
   }
   GapSnapshot snap;
   snap.agg = aggregates();
-  snap.valid_from = domain_.lo;
   if (edge == Edge::kMin) {
     snap.agg.RemoveSmallest(key);
     snap.lo = SecondMinKey() + 1;
@@ -1429,7 +1442,6 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalWithoutEdge(
     // still counts; records below it count nothing to remove.
     snap.rank_adj = 1;
     snap.prefix_adj = static_cast<Int128>(key) - shift_;
-    snap.valid_from = key;
   } else {
     snap.agg.RemoveLargest(key);
     snap.lo = min_key_ + 1;
@@ -1443,17 +1455,29 @@ Result<LossLandscape::Candidate> LossLandscape::ScanGaps(
     ThreadPool* pool, const ArgmaxOptions& argmax, ArgmaxStats* stats) const {
   ArgmaxStats local;
   local.rounds = 1;
-  const BoundCtx ctx = BoundCtx::Make(snap.agg.n, snap.agg.sum_k,
-                                      snap.agg.sum_k2, snap.agg.sum_kr);
-  const ScanMode mode =
-      PickScanMode(argmax, PruneDomainOk() && ctx.usable, &local);
+  const RankMoments mom = RankMoments::Of(snap.agg.n + 1);
+  const std::int64_t units = CollectGapGroups(snap.lo, snap.hi);
+  // Outside the magnitude guard the context's Int128 numerators could
+  // overflow; with no candidate there is nothing to bound.
+  const bool domain_ok = PruneDomainOk();
+  const BoundCtx ctx = domain_ok ? GapBoundCtx(snap, mom) : BoundCtx{};
+  const ScanMode mode = PickScanMode(
+      argmax, domain_ok && (ctx.usable || units == 0), &local);
+  const ArgmaxFold fold = RunArgmax(
+      GapSource{*this, snap, argmax_gap_groups_, ctx, mom, excluded, units},
+      mode, pool, argmax.fan_out_units, &local);
+  if (stats != nullptr) stats->Add(local);
+  if (!fold.have) {
+    return Status::ResourceExhausted(
+        "no unoccupied candidate keys in the poisoning range");
+  }
+  return fold.best;
+}
 
-  // The scan range's gaps as groups: each tier's in-range slice. The
-  // range ends at an occupied key or a domain edge, so it never clips a
-  // gap and membership is a whole-gap test; only the edge tiers have
-  // out-of-range gaps.
-  const Key lo = snap.lo;
-  const Key hi = snap.hi;
+std::int64_t LossLandscape::CollectGapGroups(Key lo, Key hi) const {
+  // Each tier's in-range slice. The range ends at an occupied key or a
+  // domain edge, so it never clips a gap and membership is a whole-gap
+  // test; only the edge tiers have out-of-range gaps.
   const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
   auto& groups = PrepareScratch(&argmax_gap_groups_, tiers.size());
   std::int64_t units = 0;
@@ -1462,23 +1486,58 @@ Result<LossLandscape::Candidate> LossLandscape::ScanGaps(
     const std::vector<TieredGaps::GapRec>& gs = tiers[ti].gaps;
     std::size_t b = 0;
     std::size_t e = gs.size();
-    while (b < e && gs[b].hi < lo) ++b;
-    while (e > b && gs[e - 1].lo > hi) --e;
+    // Only an edge tier reaches outside; the others' records stay
+    // untouched (cold at large n).
+    if (tiers[ti].lo < lo || tiers[ti].hi > hi) {
+      while (b < e && gs[b].hi < lo) ++b;
+      while (e > b && gs[e - 1].lo > hi) --e;
+    }
     if (b < e) {
       groups.push_back(GapGroup{ti, b, e});
       units += static_cast<std::int64_t>(e - b);
     }
   }
+  return units;
+}
 
-  const ArgmaxFold fold =
-      RunArgmax(GapSource{*this, snap, groups, ctx, excluded, units}, mode,
-                pool, argmax.fan_out_units, &local);
-  if (stats != nullptr) stats->Add(local);
-  if (!fold.have) {
-    return Status::ResourceExhausted(
-        "no unoccupied candidate keys in the poisoning range");
-  }
-  return fold.best;
+double LossLandscape::MaxShiftedMagnitude(
+    std::initializer_list<Key> extra) const {
+  Int128 m = 0;
+  auto widen = [this, &m](Key k) {
+    Int128 x = static_cast<Int128>(k) - shift_;
+    if (x < 0) x = -x;
+    if (x > m) m = x;
+  };
+  widen(min_key_);
+  widen(max_key_);
+  for (const Key k : extra) widen(k);
+  return static_cast<double>(m) * (1 + Gamma(1));
+}
+
+LossLandscape::BoundCtx LossLandscape::GapBoundCtx(
+    const GapSnapshot& snap, const RankMoments& mom) const {
+  const std::vector<GapGroup>& groups = argmax_gap_groups_;
+  if (groups.empty()) return BoundCtx{};
+  const GapGroup& mid = groups[groups.size() / 2];
+  const TieredGaps::Tier& t = gaps_.tiers()[mid.tier];
+  const TieredGaps::GapRec& r = t.gaps[mid.begin];
+  BoundCtx::Ref ref;
+  ref.x = static_cast<Int128>(r.lo) - shift_;
+  ref.c = r.cnt + t.delta_cnt - snap.rank_adj + 1;
+  ref.s = snap.agg.sum_k - (r.sum + t.delta_sum - snap.prefix_adj);
+  return BoundCtx::Make(+1, snap.agg, mom, ref,
+                        MaxShiftedMagnitude({snap.lo, snap.hi}));
+}
+
+LossLandscape::BoundCtx LossLandscape::KeyBoundCtx(
+    const RankMoments& mom) const {
+  const RemovalSoa::Block& mid =
+      rem_soa_.block(rem_soa_.block_count() / 2);
+  BoundCtx::Ref ref;
+  ref.x = static_cast<Int128>(mid.keys.front()) - shift_;
+  ref.c = mid.count_before + 1;
+  ref.s = static_cast<Int128>(mid.sa_local.front()) + mid.sum_after;
+  return BoundCtx::Make(-1, aggregates(), mom, ref, MaxShiftedMagnitude({}));
 }
 
 void LossLandscape::EnsureRemovalSoa() const {
@@ -1508,14 +1567,10 @@ void LossLandscape::EnsureRemovalSoa() const {
   rem_soa_.FinishBuild();
 }
 
-long double LossLandscape::LossWithoutKey(Key key, std::int64_t rank,
-                                          std::int64_t sa) const {
-  const std::int64_t n1 = n_ - 1;
+long double LossLandscape::LossWithoutKey(Key key, Int128 rank, Int128 sa,
+                                          const RankMoments& mom) const {
   const Int128 x = static_cast<Int128>(key) - shift_;
-  const Int128 sum_xy =
-      sum_kr_ - x * static_cast<Int128>(rank) - static_cast<Int128>(sa);
-  return LossFromSums(n1, sum_k_ - x, sum_k2_ - x * x, SumRanks(n1),
-                      SumRankSquares(n1), sum_xy);
+  return mom.Loss(sum_k_ - x, sum_k2_ - x * x, sum_kr_ - x * rank - sa);
 }
 
 /// Removal candidates. A unit is one stored key (skipped when outside
@@ -1526,7 +1581,8 @@ struct LossLandscape::KeySource {
   static constexpr std::size_t kSoaLanes = 0;  // Blocks are SoA already.
 
   const LossLandscape& ll;
-  const RemovalBoundCtx& ctx;
+  const BoundCtx& ctx;
+  const RankMoments& mom;  // Of n - 1 points.
   const std::unordered_set<Key>* allowed;
   std::int64_t total;  // Stored keys.
 
@@ -1544,44 +1600,56 @@ struct LossLandscape::KeySource {
     return allowed == nullptr || allowed->count(k) != 0;
   }
 
-  /// The chord bound (RemovalBoundCtx::UpperBlock) from the block's
-  /// exact endpoint records; the last key's global suffix is sum_after
-  /// itself, since sa_local.back() == 0. It ignores `allowed`: an
-  /// admissible over-estimate, the per-key bounds enforce it.
-  double GroupBound(std::size_t b) const {
+  /// The chord bound (BoundCtx::UpperBlock) through the exact records
+  /// (x, rank, suffix) of keys \p begin and end - 1 of block \p b; the
+  /// last key's global suffix is sum_after itself, since
+  /// sa_local.back() == 0. It ignores `allowed`: an admissible
+  /// over-estimate, the per-key bounds enforce it.
+  double SubBound(std::size_t b, std::int64_t begin, std::int64_t end) const {
     const RemovalSoa::Block& blk = block(b);
+    const auto first = static_cast<std::size_t>(begin);
+    const auto last = static_cast<std::size_t>(end - 1);
     const Key shift = ll.shift_;
-    const double x_first = static_cast<double>(blk.keys.front() - shift);
-    const double r_first = static_cast<double>(blk.count_before + 1);
+    const double x_first = static_cast<double>(blk.keys[first] - shift);
+    const double r_first = static_cast<double>(blk.count_before + begin + 1);
     const double sa_first =
-        static_cast<double>(blk.sa_local.front() + blk.sum_after);
-    if (blk.keys.size() == 1) return ctx.Upper(x_first, r_first, sa_first);
+        static_cast<double>(blk.sa_local[first] + blk.sum_after);
+    if (first == last) return ctx.Upper(x_first, r_first, sa_first);
     return ctx.UpperBlock(
         x_first, r_first, sa_first,
-        static_cast<double>(blk.keys.back() - shift),
-        static_cast<double>(blk.count_before +
-                            static_cast<std::int64_t>(blk.keys.size())),
-        static_cast<double>(blk.sum_after));
+        static_cast<double>(blk.keys[last] - shift),
+        static_cast<double>(blk.count_before + end),
+        static_cast<double>(blk.sa_local[last] + blk.sum_after));
+  }
+  double GroupBound(std::size_t b) const { return SubBound(b, 0, Units(b)); }
+
+  /// Starts loading the end records GroupBound(b) reads.
+  void Prefetch(std::size_t b) const {
+    const RemovalSoa::Block& blk = block(b);
+    __builtin_prefetch(blk.keys.data());
+    __builtin_prefetch(&blk.keys.back());
+    __builtin_prefetch(blk.sa_local.data());
+    __builtin_prefetch(&blk.sa_local.back());
   }
 
-  /// Per-key bounds straight off the block arrays; the rank/suffix
-  /// reconstruction adds two loop-invariant scalars, so the allowed-free
-  /// loop auto-vectorizes.
-  void UnitBounds(std::size_t b, double* out, double* /*soa*/,
-                  ArgmaxStats* stats) const {
+  /// Per-key bounds of keys [begin, end) straight off the block arrays;
+  /// the rank/suffix reconstruction adds two loop-invariant scalars, so
+  /// the allowed-free loop auto-vectorizes.
+  void UnitBounds(std::size_t b, std::int64_t begin, std::int64_t end,
+                  double* out, double* /*soa*/, ArgmaxStats* stats) const {
     const RemovalSoa::Block& blk = block(b);
-    const Key* keys = blk.keys.data();
-    const std::int64_t* sal = blk.sa_local.data();
-    const std::size_t m = blk.keys.size();
-    const double rank0 = static_cast<double>(blk.count_before + 1);
-    const double sa_off = static_cast<double>(blk.sum_after);
+    const Key* keys = blk.keys.data() + begin;
+    const std::int64_t* sal = blk.sa_local.data() + begin;
+    const auto m = static_cast<std::size_t>(end - begin);
+    const double rank0 = static_cast<double>(blk.count_before + begin + 1);
+    const std::int64_t sa_off = blk.sum_after;
     const Key shift = ll.shift_;
     if (allowed == nullptr) {
-      const RemovalBoundCtx c = ctx;  // Local copy: no aliasing.
+      const BoundCtx c = ctx;  // Local copy: no aliasing.
       for (std::size_t j = 0; j < m; ++j) {
         out[j] = c.Upper(static_cast<double>(keys[j] - shift),
                          rank0 + static_cast<double>(j),
-                         static_cast<double>(sal[j]) + sa_off);
+                         static_cast<double>(sal[j] + sa_off));
       }
       stats->bound_evals += static_cast<std::int64_t>(m);
       return;
@@ -1593,7 +1661,7 @@ struct LossLandscape::KeySource {
       }
       out[j] = ctx.Upper(static_cast<double>(keys[j] - shift),
                          rank0 + static_cast<double>(j),
-                         static_cast<double>(sal[j]) + sa_off);
+                         static_cast<double>(sal[j] + sa_off));
       ++stats->bound_evals;
     }
   }
@@ -1605,7 +1673,7 @@ struct LossLandscape::KeySource {
     const Key kp = blk.keys[jj];
     if (!Allowed(kp)) return;
     fold->Offer(kp, ll.LossWithoutKey(kp, blk.count_before + j + 1,
-                                      blk.sa_local[jj] + blk.sum_after));
+                                      blk.sa_local[jj] + blk.sum_after, mom));
     ++stats->exact_evals;
   }
 };
@@ -1628,31 +1696,28 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
     // accumulating the suffix key-sums on the fly (the
     // order-independent tie rule makes the scan direction immaterial).
     if (argmax.prune) local.fallback_rounds = 1;
+    const RankMoments mom = RankMoments::Of(n_ - 1);
     Int128 sa = 0;
-    const std::int64_t n1 = n_ - 1;
     for (std::size_t b = rem_soa_.block_count(); b > 0; --b) {
       const RemovalSoa::Block& blk = rem_soa_.block(b - 1);
       for (std::size_t j = blk.keys.size(); j > 0; --j) {
         const Key kp = blk.keys[j - 1];
-        const Int128 x = static_cast<Int128>(kp) - shift_;
         if (allowed == nullptr || allowed->count(kp) != 0) {
-          const Int128 rank =
-              blk.count_before + static_cast<std::int64_t>(j);
-          const Int128 sum_xy = sum_kr_ - x * rank - sa;
-          fold.Offer(kp, LossFromSums(n1, sum_k_ - x, sum_k2_ - x * x,
-                                      SumRanks(n1), SumRankSquares(n1),
-                                      sum_xy));
+          fold.Offer(kp, LossWithoutKey(kp,
+                                        blk.count_before +
+                                            static_cast<std::int64_t>(j),
+                                        sa, mom));
           ++local.exact_evals;
         }
-        sa += x;
+        sa += static_cast<Int128>(kp) - shift_;
       }
     }
   } else {
-    const RemovalBoundCtx ctx =
-        RemovalBoundCtx::Make(n_, sum_k_, sum_k2_, sum_kr_);
+    const RankMoments mom = RankMoments::Of(n_ - 1);
+    const BoundCtx ctx = KeyBoundCtx(mom);
     const ScanMode mode = PickScanMode(argmax, ctx.usable, &local);
-    fold = RunArgmax(KeySource{*this, ctx, allowed, rem_soa_.size()}, mode,
-                     pool, argmax.fan_out_units, &local);
+    fold = RunArgmax(KeySource{*this, ctx, mom, allowed, rem_soa_.size()},
+                     mode, pool, argmax.fan_out_units, &local);
   }
   if (stats != nullptr) stats->Add(local);
   if (!fold.have) {
@@ -1660,6 +1725,75 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
         "no allowed removal candidate among the stored keys");
   }
   return fold.best;
+}
+
+Status LossLandscape::AuditArgmaxBoundsForTesting(
+    bool removal, const std::function<void(const BoundAuditRow&)>& visit)
+    const {
+  auto audit = [&visit](const auto& src) {
+    ArgmaxStats stats;
+    std::vector<double> subs(static_cast<std::size_t>(
+        std::max<std::int64_t>(1, SubBlockCount(static_cast<std::int64_t>(
+                                      src.MaxUnits())))));
+    std::vector<double> units(src.MaxUnits());
+    std::vector<double> soa(src.kSoaLanes * src.MaxUnits());
+    for (std::size_t g = 0; g < src.num_groups(); ++g) {
+      const std::int64_t m = src.Units(g);
+      const double group_bound = src.GroupBound(g);
+      const std::int64_t count = SubBlockCount(m);
+      for (std::int64_t sb = 0; sb < count; ++sb) {
+        const std::int64_t begin = sb * kSubBlockUnits;
+        subs[static_cast<std::size_t>(sb)] =
+            src.SubBound(g, begin, std::min(m, begin + kSubBlockUnits));
+      }
+      src.UnitBounds(g, 0, m, units.data(), soa.data(), &stats);
+      for (std::int64_t j = 0; j < m; ++j) {
+        ArgmaxFold fold;
+        src.Exact(g, j, &fold, &stats);
+        BoundAuditRow row;
+        row.key = fold.best.key;
+        row.exact = fold.best.loss;
+        row.unit_bound = units[static_cast<std::size_t>(j)];
+        row.group_bound = group_bound;
+        row.sub_bound = count == 0 ? group_bound
+                                   : subs[static_cast<std::size_t>(
+                                         j / kSubBlockUnits)];
+        visit(row);
+      }
+    }
+  };
+  if (removal) {
+    if (n_ < 3) {
+      return Status::FailedPrecondition(
+          "removal argmax needs at least three stored keys");
+    }
+    EnsureRemovalSoa();
+    if (!rem_soa_.with_sa()) {
+      return Status::FailedPrecondition("removal bounds not admissible");
+    }
+    const RankMoments mom = RankMoments::Of(n_ - 1);
+    const BoundCtx ctx = KeyBoundCtx(mom);
+    if (!ctx.usable) {
+      return Status::FailedPrecondition("removal bounds not admissible");
+    }
+    audit(KeySource{*this, ctx, mom, nullptr, rem_soa_.size()});
+    return Status::OK();
+  }
+  GapSnapshot snap;
+  snap.agg = aggregates();
+  snap.lo = min_key_ + 1;
+  snap.hi = max_key_ - 1;
+  if (!PruneDomainOk()) {
+    return Status::FailedPrecondition("insertion bounds not admissible");
+  }
+  const RankMoments mom = RankMoments::Of(snap.agg.n + 1);
+  const std::int64_t units = CollectGapGroups(snap.lo, snap.hi);
+  const BoundCtx ctx = GapBoundCtx(snap, mom);
+  if (!ctx.usable) {
+    return Status::FailedPrecondition("insertion bounds not admissible");
+  }
+  audit(GapSource{*this, snap, argmax_gap_groups_, ctx, mom, nullptr, units});
+  return Status::OK();
 }
 
 Key LossLandscape::SecondMinKey() const {
@@ -1692,19 +1826,24 @@ LossLandscape::Aggregates LossLandscape::aggregates() const {
 }
 
 long double LossLandscape::Aggregates::Loss() const {
-  return LossFromSums(n, sum_k, sum_k2, SumRanks(n), SumRankSquares(n),
-                      sum_kr);
+  return RankMoments::Of(n).Loss(sum_k, sum_k2, sum_kr);
 }
 
 long double LossLandscape::Aggregates::LossAfterInsert(
     Key kp, Rank count_less, Int128 suffix_sum) const {
-  const std::int64_t n1 = n + 1;
-  const Int128 kp_s = static_cast<Int128>(kp) - shift;
+  return LossAfterInsertion(*this, RankMoments::Of(n + 1), kp, count_less,
+                            suffix_sum);
+}
+
+long double LossLandscape::LossAfterInsertion(const Aggregates& agg,
+                                              const RankMoments& mom, Key kp,
+                                              Rank count_less,
+                                              Int128 suffix_sum) {
+  const Int128 kp_s = static_cast<Int128>(kp) - agg.shift;
   // Every key above kp gains one rank, adding its (shifted) value once
   // to sum(XY); kp itself enters with rank count_less + 1.
-  return LossFromSums(n1, sum_k + kp_s, sum_k2 + kp_s * kp_s, SumRanks(n1),
-                      SumRankSquares(n1),
-                      sum_kr + suffix_sum + kp_s * (count_less + 1));
+  return mom.Loss(agg.sum_k + kp_s, agg.sum_k2 + kp_s * kp_s,
+                  agg.sum_kr + suffix_sum + kp_s * (count_less + 1));
 }
 
 void LossLandscape::Aggregates::Insert(Key kp, Rank count_less,

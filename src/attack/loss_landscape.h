@@ -39,14 +39,23 @@
 // simulation's insertion with one boundary key taken out) and the
 // removal that does (FindOptimalRemoval) — run one branch-and-bound
 // skeleton over a *candidate source*: gap tiers for insertion, key
-// blocks of the removal SoA for removal. A source
-// supplies an admissible double-precision bound per group, per-unit
-// bounds and the exact evaluation; the skeleton seeds a running best,
-// skips every group or unit whose bound is below it, re-checks the
-// survivors exactly, and exits once every remaining bound is below the
-// best. The bounds provably dominate the exact evaluation
-// (directed-rounding error margins), so the selected candidate stays
-// bit-identical to the exhaustive scan.
+// blocks of the removal SoA for removal. A source supplies admissible
+// double-precision bounds at three levels — per group, per sub-block of
+// 64 units, per unit — and the exact evaluation; the skeleton seeds a
+// running best, skips every group, sub-block or unit whose bound is
+// below it, re-checks the survivors exactly, and exits once every
+// remaining bound is below the best. The bounds provably dominate the
+// exact evaluation, so the selected candidate stays bit-identical to
+// the exhaustive scan.
+//
+// The bounds are precise because they never pay for the loss's
+// cancellation. The loss numerator VarY - Cov^2/VarX nearly cancels:
+// both terms are ~n^4/12 while candidates differ by a few loss units
+// times n^2. Once per scan the reference point x = 0 is evaluated
+// exactly (Int128 numerators V0, C0, VarY, long-double Q0 = C0^2/V0);
+// per candidate only the changes VarX - V0 and Cov - C0 are formed in
+// double, and their rounding is bounded by Higham's gamma_k terms on
+// the magnitudes of those changes, not of VarY (see BoundCtx).
 //
 // The pruned scan is *tiered*: instead of re-scoring all O(G) gaps
 // every round, it first scores one admissible range bound per
@@ -58,22 +67,29 @@
 // is piecewise linear with non-decreasing slopes (n1*c1 - sumY grows as
 // candidates pass keys) and upward jumps at key crossings, so it lies
 // above its left-endpoint tangent; and VarX is a gap-independent convex
-// parabola, so its range maximum sits at an endpoint. Only tiers whose
-// range bound reaches the running best are re-scored per gap, dropping
-// per-round bound work from O(G) to O(sqrt(G) + survivors).
+// parabola, so Cov^2/VarX under the tangent takes its range minimum at
+// an endpoint. Inside a tier whose bound reaches the running best the
+// same range bound is taken per 64-gap sub-block, and only surviving
+// sub-blocks are re-scored per gap, so per-round bound work is
+// O(sqrt(G) + survivors).
 // (Design notes from measurement: bounds persisted across rounds with
-// forward-drift margins are useless here — the loss is a near
-// cancellation of VarY and Cov^2/VarX, so any per-round drift allowance
-// inflates the bound by more than the whole gap-to-gap loss spread —
-// and plain interval arithmetic over a tier's input box decorrelates
-// Cov from VarX badly enough to never skip a tier; the tangent form is
-// what makes a tier-granular bound tight.) Whenever a bound context is
-// not provably admissible the round falls back to the exhaustive scan,
-// so results are bit-identical either way.
+// forward-drift margins are useless here — any per-round drift
+// allowance inflates the bound by more than the whole gap-to-gap loss
+// spread — and plain interval arithmetic over a tier's input box
+// decorrelates Cov from VarX badly enough to never skip a tier; the
+// tangent form is what makes a tier-granular bound tight. A blanket
+// relative margin on the full magnitudes, as this engine used before
+// the reference-point form, tracks VarY ~ n^4 instead of the loss
+// spread: at n = 1M uniform keys it kept ~2,200 exact re-checks a round
+// alive where ~1 gap lies within 1e-6 of the best.) Whenever a bound
+// context is not provably admissible the round falls back to the
+// exhaustive scan, so results are bit-identical either way.
 
 #ifndef LISPOISON_ATTACK_LOSS_LANDSCAPE_H_
 #define LISPOISON_ATTACK_LOSS_LANDSCAPE_H_
 
+#include <functional>
+#include <initializer_list>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -199,9 +215,10 @@ class LossLandscape {
   struct ArgmaxOptions {
     /// Run the branch-and-bound tiered scan: one admissible bound per
     /// group (gap tier or key block, O(1) from the incrementally
-    /// maintained state), per-unit bounds only inside groups whose
-    /// bound reaches the running best, and exact re-checks only of the
-    /// surviving units — O(sqrt(G) + survivors) bound work per round.
+    /// maintained state), one per 64-unit sub-block only inside groups
+    /// whose bound reaches the running best, per-unit bounds only inside
+    /// surviving sub-blocks, and exact re-checks only of the surviving
+    /// units — O(sqrt(G) + survivors) bound work per round.
     /// The selected Candidate is bit-identical to the exhaustive scan
     /// (the bounds provably dominate the exact loss; ties re-check
     /// every contender and break toward the smaller key, the
@@ -240,14 +257,16 @@ class LossLandscape {
     std::int64_t rounds = 0;          ///< Argmax calls.
     std::int64_t exact_evals = 0;     ///< Exact Theorem 1 evaluations.
     std::int64_t bound_evals = 0;     ///< Double-precision bound scores
-                                      ///< (per-unit and per-group).
+                                      ///< (per group, per sub-block of
+                                      ///< a surviving group, per unit).
     std::int64_t pruned_gaps = 0;     ///< Units never evaluated exactly.
     std::int64_t cached_bounds = 0;   ///< Units disposed of by their
                                       ///< group's bound alone (no
                                       ///< per-unit re-scoring).
-    std::int64_t invalidated_gaps = 0;///< Units re-scored individually
-                                      ///< (their group survived the
-                                      ///< group filter this round).
+    std::int64_t invalidated_gaps = 0;///< Units of groups that survived
+                                      ///< the group filter this round
+                                      ///< (scored per sub-block, and
+                                      ///< per unit where that survived).
     std::int64_t fallback_rounds = 0; ///< Pruning requested but the bound
                                       ///< context was not admissible.
     void Add(const ArgmaxStats& o) {
@@ -283,13 +302,15 @@ class LossLandscape {
   /// gap, offered at its non-excluded endpoints; a group is the
   /// in-range part of one tier. With \p argmax.prune (the default) it
   /// runs *tiered*: one range bound per tier (a covariance left-tangent over
-  /// the tier's key range), a seed inside the tier with the highest
-  /// range bound, then a key-ordered sweep that skips whole tiers whose
-  /// range bound is below the best, re-scores only the surviving tiers
-  /// per gap, and exits once every remaining tier bound is below the
-  /// best. Tier range bounds ignore \p excluded (an excluded endpoint
-  /// only makes them admissible over-estimates; the per-gap bounds skip
-  /// excluded endpoints exactly). Whenever the bound context is not
+  /// the keys of its in-range gaps), a seed at the best gap bound of the
+  /// tier with the highest range bound, then a key-ordered sweep
+  /// that skips whole tiers whose range bound is below the best, bounds
+  /// the surviving tiers per 64-gap sub-block (the same range bound from
+  /// the sub-block's first gap), re-scores only surviving sub-blocks per
+  /// gap, and exits once every remaining tier bound is below the best.
+  /// Range bounds ignore \p excluded (an excluded endpoint only makes
+  /// them admissible over-estimates; the per-gap bounds skip excluded
+  /// endpoints exactly). Whenever the bound context is not
   /// provably admissible the call falls back to the exhaustive scan,
   /// so the result is bit-identical either way (argmax_pruning_test,
   /// the stateful property harness). \p stats, when non-null, is
@@ -328,8 +349,8 @@ class LossLandscape {
   /// The scan runs FindOptimal's skeleton, serially, over an adjusted
   /// snapshot: the aggregates lose \p key, and every gap record counts
   /// one key fewer and \p key's shifted value less above a removed
-  /// minimum (a removed maximum lies above every candidate). A group
-  /// bound never starts at a record below a removed minimum. With
+  /// minimum (a removed maximum lies above every candidate). Every
+  /// bound starts at an in-range record, above a removed minimum. With
   /// \p argmax.prune off it is the exhaustive scan. Results are
   /// bit-identical either way (argmax_pruning_test checks both against
   /// a landscape rebuilt without \p key).
@@ -356,11 +377,12 @@ class LossLandscape {
   /// int64 suffix key-sums, with tier-relative rank/suffix directory
   /// scalars — RemovalSoa). No per-round landscape reconstruction, and
   /// O(sqrt(n)) maintenance per commit. Per-key bounds are the removal
-  /// dual of the insertion bound (same component-magnitude margins),
-  /// computed by a batched auto-vectorizable kernel over the block
-  /// arrays; the tiered scan's group bound is a chord per block (the
+  /// dual of the insertion bound (the same reference-point expansion
+  /// with the opposite sign), computed by a batched auto-vectorizable
+  /// kernel over the block arrays; the tiered scan's group bound is a
+  /// chord per block, and per 64-key run inside a surviving block (the
   /// covariance is concave piecewise-linear along the stored keys, so
-  /// the chord through a block's exact endpoint records minorizes it).
+  /// the chord through a run's exact end records minorizes it).
   /// The commit structure and the bound tier structure are the same
   /// blocks, so the next round's chords see every commit exactly.
   /// Results are bit-identical to an index-ordered exhaustive scan
@@ -409,6 +431,29 @@ class LossLandscape {
   /// grow-only resize(capacity) pattern relies on ("stale entries
   /// beyond the prepared prefix are never read").
   void PoisonArgmaxScratchForTesting() const;
+
+  /// \brief One candidate unit of a tiered argmax scan with every bound
+  /// that covers it (see AuditArgmaxBoundsForTesting).
+  struct BoundAuditRow {
+    Key key = 0;             ///< The unit's first best candidate.
+    long double exact = 0;   ///< Its exact loss, the unit's largest.
+    double unit_bound = 0;
+    double sub_bound = 0;    ///< Its sub-block's bound; the group's
+                             ///< bound when the group skips that level.
+    double group_bound = 0;
+  };
+
+  /// \brief Test-only: evaluates, in key order, every group, sub-block
+  /// and unit bound of the tiered scan of FindOptimal(interior_only =
+  /// true) (\p removal: of FindOptimalRemoval with every key allowed)
+  /// and the exact loss of every unit, and hands each unit to \p visit.
+  /// Admissibility means every bound is >= the unit's exact loss. Fails
+  /// with FailedPrecondition where the scan would fall back to the
+  /// exhaustive one (no admissible bound context), and as the argmax
+  /// does below its minimum key count.
+  Status AuditArgmaxBoundsForTesting(
+      bool removal, const std::function<void(const BoundAuditRow&)>& visit)
+      const;
 
   /// \brief Gap records / tier-directory entries moved by InsertKey
   /// splices, cumulative — O(sqrt(G)) per insert by construction
@@ -497,24 +542,34 @@ class LossLandscape {
   /// SoA) is provably admissible for the current n and domain span.
   bool PruneDomainOk() const;
 
+  /// The rank side of the Theorem 1 loss for a fixed point count,
+  /// computed once per scan; defined in the .cc.
+  struct RankMoments;
+
   /// Exact minimized loss of the current keys with the stored key
-  /// \p key (1-based rank \p rank, int64 shifted suffix key-sum \p sa)
-  /// deleted. The (rank, sa) pair comes from a removal-SoA block's
-  /// tier-relative reconstruction — exact, so the loss is bit-identical
-  /// to the flat layout's.
-  long double LossWithoutKey(Key key, std::int64_t rank,
-                             std::int64_t sa) const;
+  /// \p key (1-based rank \p rank, shifted key-sum \p sa of the keys
+  /// above it) deleted; \p mom describes n - 1 points. The (rank, sa)
+  /// pair comes from a removal-SoA block's tier-relative reconstruction
+  /// or the fallback's running sum — exact, so the loss is
+  /// bit-identical to the flat layout's.
+  long double LossWithoutKey(Key key, Int128 rank, Int128 sa,
+                             const RankMoments& mom) const;
+
+  /// Exact loss of \p agg's keys plus \p kp (\p count_less keys below
+  /// it, shifted key-sum \p suffix_sum above it); \p mom describes
+  /// agg.n + 1 points. Aggregates::LossAfterInsert without the per-call
+  /// rank moments.
+  static long double LossAfterInsertion(const Aggregates& agg,
+                                        const RankMoments& mom, Key kp,
+                                        Rank count_less, Int128 suffix_sum);
 
   /// Builds / refreshes the block-local removal-candidate SoA.
   void EnsureRemovalSoa() const;
 
-  /// Per-round double-precision bound context of the insertion argmax;
-  /// defined in the .cc.
+  /// Per-scan double-precision bound context of both argmaxes (an
+  /// insertion into, or a removal from, the current keys); defined in
+  /// the .cc.
   struct BoundCtx;
-
-  /// Removal-side bound context (the dual of BoundCtx over the n-1
-  /// surviving keys); defined in the .cc.
-  struct RemovalBoundCtx;
 
   /// The argmax skeleton's two candidate sources — gap tiers and key
   /// blocks — and its running best; defined in the .cc.
@@ -525,16 +580,14 @@ class LossLandscape {
   /// What an insertion argmax scans: the gaps inside [lo, hi], each
   /// candidate joining the keys `agg` describes. The gap records
   /// describe the current keys, so above a removed minimum they count
-  /// rank_adj keys with shifted sum prefix_adj that `agg` lacks. Records
-  /// below `valid_from` (the removed minimum) do not count it, so the
-  /// correction is wrong there and no group bound starts at one.
+  /// rank_adj keys with shifted sum prefix_adj that `agg` lacks; every
+  /// gap in [lo, hi] lies above it.
   struct GapSnapshot {
     Aggregates agg;
     Key lo = 0;
     Key hi = 0;
     Rank rank_adj = 0;
     Int128 prefix_adj = 0;
-    Key valid_from = 0;
   };
 
   /// The insertion argmax of FindOptimal and FindOptimalWithoutEdge.
@@ -564,9 +617,11 @@ class LossLandscape {
                                ArgmaxStats* stats);
 
   /// The argmax skeleton. Tiered, once per round and before any
-  /// fan-out: bounds every group, stages the unit bounds of the first
-  /// group with the highest bound, and exact-checks that group's best
-  /// unit, whose loss is the incumbent. The scan is then the serial one,
+  /// fan-out: bounds every group; in the first group with the highest
+  /// bound, bounds its sub-blocks and stages their unit bounds
+  /// best-first until no other sub-block can hold a higher unit bound;
+  /// exact-checks the best unit, whose loss is the incumbent. The scan
+  /// is then the serial one,
   /// a single chunk swept from the incumbent, unless \p pool runs more
   /// than one worker and the live units (those of every group whose
   /// bound reaches the incumbent; every unit when exhaustive) reach
@@ -585,16 +640,40 @@ class LossLandscape {
   /// incumbent on entry, so every bound is tested against
   /// max(incumbent, the chunk's own best). Exhaustive: every unit
   /// exactly. Tiered: in key order, skips a group whose bound is below
-  /// the best, re-scores a surviving group per unit (group \p seed_g
-  /// from the staged seed bounds, read-only, whose consumed seed reads
-  /// -inf), and exits once every remaining group bound is below the
-  /// best. Reads the shared bound arrays RunArgmax filled and writes
-  /// only scratch slot \p slot.
+  /// the best; in a surviving group, bounds its 64-unit sub-blocks,
+  /// skips those below the best and scores the units of the rest (group
+  /// \p seed_g's sub-block bounds and staged unit bounds come from the
+  /// read-only staged copies, whose consumed seed reads -inf); exits
+  /// once every remaining group bound is below the best.
+  /// Reads the shared bound arrays RunArgmax filled and writes only
+  /// scratch slot \p slot.
   template <typename Src>
   void ScanArgmaxChunk(const Src& src, ScanMode mode,
                        const ArgmaxChunk& chunk, std::size_t slot,
                        std::size_t seed_g, ArgmaxFold* fold,
                        ArgmaxStats* stats) const;
+
+  /// Bounds the 64-unit sub-blocks of group \p g into \p out (counted
+  /// as bound work) and returns the first best one; 0, with nothing
+  /// written, when the group skips the level.
+  template <typename Src>
+  std::int64_t SubBlockBounds(const Src& src, std::size_t g, double* out,
+                              ArgmaxStats* stats) const;
+
+  /// Fills argmax_gap_groups_ with the in-range slice of every tier
+  /// meeting [lo, hi] and returns the number of gaps in them.
+  std::int64_t CollectGapGroups(Key lo, Key hi) const;
+
+  /// The bound contexts of the two scans, expanded around one of their
+  /// own candidates: the first gap of the middle collected group (not
+  /// usable when there is none), and the first key of the middle
+  /// removal-SoA block. \p mom describes the points after the edit.
+  BoundCtx GapBoundCtx(const GapSnapshot& snap, const RankMoments& mom) const;
+  BoundCtx KeyBoundCtx(const RankMoments& mom) const;
+
+  /// The largest |k - shift()| over the current keys and \p extra,
+  /// rounded up to double.
+  double MaxShiftedMagnitude(std::initializer_list<Key> extra) const;
 
   /// Clears \p buf, growing its capacity geometrically (and bumping
   /// scratch_reallocs_) only when \p needed exceeds it.
@@ -627,9 +706,14 @@ class LossLandscape {
   // scratch note). Mutable: FindOptimal is logically const.
   mutable std::vector<GapGroup> argmax_gap_groups_;
   mutable std::vector<ArgmaxChunk> argmax_chunks_;
-  // Unit bounds: the seed group's in slot 0, then one swept-group slot
-  // per sweeping task (one when serial).
+  // Unit bounds: the seed group's staged ones in slot 0, then one
+  // swept-sub-block slot per sweeping task (one when serial).
   mutable std::vector<double> argmax_bounds_;
+  // Sub-block bounds, laid out like argmax_bounds_: the seed group's in
+  // slot 0, then one slot per sweeping task; and which of the seed
+  // group's sub-blocks have staged unit bounds.
+  mutable std::vector<double> argmax_sub_bounds_;
+  mutable std::vector<char> argmax_seed_staged_;
   // Tiered-scan per-group arrays (sized by group count, ~sqrt(G)).
   mutable std::vector<double> argmax_tier_bounds_;
   mutable std::vector<double> argmax_tier_suffix_max_;

@@ -7,13 +7,16 @@
 // harness also pins the no-per-round-allocation property of the
 // engine-owned argmax scratch via the realloc counter, and checks the
 // RMI exchange simulation's edge-removed argmax (FindOptimalWithoutEdge)
-// against a landscape rebuilt without the edge key.
+// against a landscape rebuilt without the edge key. An opt-in large-n
+// mode checks every group, sub-block and unit bound against every exact
+// loss at n = 10^6.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <unordered_set>
 #include <vector>
 
@@ -514,6 +517,117 @@ TEST(ArgmaxPruningTest, EdgeRemovedArgmaxNeedsTwoKeys) {
       LossLandscape::Edge::kMin, 40, nullptr, LossLandscape::ArgmaxOptions{});
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+}
+
+
+// ---- Large-n bound audit (ctest -C large_n) -----------------------------
+//
+// At n = 10^6 the loss spread between candidates is ~1e-18 of VarY, the
+// regime where a bound that pays for the VarY - Cov^2/VarX cancellation
+// stops pruning and one that under-counts its rounding stops being
+// admissible. For 5 greedy rounds per keyset and direction, every
+// group, sub-block and unit bound of the tiered scan must be >= the
+// exact loss of every unit it covers, the pruned scan must return the
+// exhaustive scan's candidate, and that candidate must carry the largest
+// audited exact loss. Excluded from the default ctest run (CONFIGURATIONS
+// large_n + env gate): one audit evaluates every candidate exactly.
+
+enum class LargeLayout { kUniform, kLogNormal, kEvenlySpaced };
+
+Result<KeySet> MakeLargeKeyset(LargeLayout layout, std::int64_t n, Rng* rng) {
+  const KeyDomain domain{0, 100 * n + 100};
+  switch (layout) {
+    case LargeLayout::kUniform:
+      return GenerateUniform(n, domain, rng);
+    case LargeLayout::kLogNormal:
+      return GenerateLogNormal(n, domain, rng);
+    case LargeLayout::kEvenlySpaced: {
+      // Equal gaps: mirror-image candidates tie or nearly tie, so the
+      // bounds must separate losses that differ in their last bits.
+      std::vector<Key> keys;
+      keys.reserve(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i) keys.push_back(50 + 100 * i);
+      return KeySet::Create(std::move(keys), domain);
+    }
+  }
+  return Status::Internal("unreachable");
+}
+
+TEST(ArgmaxPruningTest, LargeNBoundsDominateEveryExactLoss) {
+  if (std::getenv("LISPOISON_LARGE_N") == nullptr) {
+    GTEST_SKIP() << "set LISPOISON_LARGE_N=1 (or run ctest -C large_n)";
+  }
+  const std::int64_t n = 1'000'000;
+  const int kRounds = 5;
+  LossLandscape::ArgmaxOptions exhaustive;
+  exhaustive.prune = false;
+  for (const LargeLayout layout :
+       {LargeLayout::kUniform, LargeLayout::kLogNormal,
+        LargeLayout::kEvenlySpaced}) {
+    Rng rng(0x1A46E + static_cast<std::uint64_t>(layout));
+    auto ks = MakeLargeKeyset(layout, n, &rng);
+    ASSERT_TRUE(ks.ok()) << ks.status().message();
+    for (const bool removal : {false, true}) {
+      auto ll = LossLandscape::Create(*ks);
+      ASSERT_TRUE(ll.ok()) << ll.status().message();
+      for (int round = 0; round < kRounds; ++round) {
+        std::int64_t units = 0;
+        std::int64_t violations = 0;
+        LossLandscape::BoundAuditRow worst;
+        long double best = -1;
+        const Status audited = ll->AuditArgmaxBoundsForTesting(
+            removal, [&](const LossLandscape::BoundAuditRow& row) {
+              ++units;
+              best = std::max(best, row.exact);
+              const long double lowest = std::min(
+                  {static_cast<long double>(row.unit_bound),
+                   static_cast<long double>(row.sub_bound),
+                   static_cast<long double>(row.group_bound)});
+              if (!(lowest >= row.exact)) {
+                if (violations == 0) worst = row;
+                ++violations;
+              }
+            });
+        ASSERT_TRUE(audited.ok()) << audited.message();
+        const std::string where =
+            "layout " + std::to_string(static_cast<int>(layout)) +
+            (removal ? " removal" : " insertion") + " round " +
+            std::to_string(round);
+        EXPECT_EQ(violations, 0)
+            << where << ": first violation at key " << worst.key
+            << " exact " << static_cast<double>(worst.exact) << " unit "
+            << worst.unit_bound << " sub " << worst.sub_bound << " group "
+            << worst.group_bound;
+        std::int64_t want_units = ll->size();
+        if (!removal) {
+          want_units = 0;
+          ll->ForEachGap(true,
+                         [&want_units](Key, Key, Rank, Int128) { ++want_units; });
+        }
+        EXPECT_EQ(units, want_units) << where;
+
+        LossLandscape::ArgmaxStats stats;
+        const auto got =
+            removal ? ll->FindOptimalRemoval(nullptr, nullptr,
+                                             LossLandscape::ArgmaxOptions{},
+                                             &stats)
+                    : ll->FindOptimal(true, nullptr, nullptr,
+                                      LossLandscape::ArgmaxOptions{}, &stats);
+        const auto want =
+            removal ? ll->FindOptimalRemoval(nullptr, nullptr, exhaustive)
+                    : ll->FindOptimal(true, nullptr, nullptr, exhaustive);
+        ASSERT_TRUE(got.ok() && want.ok()) << where;
+        EXPECT_EQ(got->key, want->key) << where;
+        EXPECT_EQ(got->loss, want->loss) << where;
+        EXPECT_EQ(got->loss, best) << where;
+        EXPECT_EQ(stats.fallback_rounds, 0) << where;
+        ASSERT_TRUE((removal ? ll->RemoveKey(got->key)
+                             : ll->InsertKey(got->key))
+                        .ok())
+            << where;
+      }
+    }
+  }
 }
 
 }  // namespace

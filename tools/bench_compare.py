@@ -21,6 +21,13 @@ Two metrics:
     when both files come from the same machine class; used for local
     before/after checks.
 
+A google-benchmark file recorded with --benchmark_repetitions carries a
+"_median" aggregate per benchmark; those medians are compared, since a
+single repetition of a short benchmark swings by more than the
+threshold between runs. Benchmarks without aggregates are compared by
+their single entry (the committed baseline records one chosen
+repetition per benchmark).
+
 Benchmarks present in only one file are reported but never fatal (the
 suite grows over time). No benchmark present in both files is fatal: a
 rename on one side would otherwise switch the gate off silently. Usage:
@@ -32,13 +39,16 @@ rename on one side would otherwise switch the gate off silently. Usage:
 import argparse
 import json
 import re
+import statistics
 import sys
 
 
 def load_benchmarks(path):
     """name -> metric for every entry of a benchmark or serving report.
 
-    google-benchmark JSON ("benchmarks" array): real_time per entry.
+    google-benchmark JSON ("benchmarks" array): real_time per benchmark,
+    its "_median" aggregate's when the file has one, else its entry's
+    (with repetitions but no aggregate, the median over them).
 
     bench_serving report ("configs" array): one entry per
     workload/backend/variant, valued at the *mean work per op* — the
@@ -61,10 +71,17 @@ def load_benchmarks(path):
                 name += f"/s{cfg['num_shards']}"
             out[name] = float(cfg["work"]["mean"])
         return out
+    medians = {}
+    runs = {}
     for bench in data.get("benchmarks", []):
+        name = bench.get("run_name", bench["name"])
         if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") == "median":
+                medians[name] = float(bench["real_time"])
             continue
-        out[bench["name"]] = float(bench["real_time"])
+        runs.setdefault(name, []).append(float(bench["real_time"]))
+    for name, times in runs.items():
+        out[name] = medians.get(name, statistics.median(times))
     return out
 
 

@@ -90,9 +90,12 @@ Attack-10M mode (ISSUE 9) gates the committed n=10M scale rows
   tools/check_bench_json.py --attack-10m BENCH_attack_throughput.json
 
 It asserts the 10M insertion/deletion rows exist with the full counter
-set and that the block-local removal SoA's per-commit touched slots
-grew <= 20x from the n=100k deletion row (sqrt(100) = 10x ideal for a
-100x larger keyset; a flat-array regression shows ~100x).
+set, that each makes at most 10,000 exact evaluations per round
+(exact_evals / budget; a bound whose rounding margin tracks VarY ~ n^4
+instead of the loss spread keeps ~700k alive), and that the
+block-local removal SoA's per-commit touched slots grew <= 20x from the
+n=100k deletion row (sqrt(100) = 10x ideal for a 100x larger keyset; a
+flat-array regression shows ~100x).
 
 Adversarial mode (PR 8) gates the committed BENCH_adversarial.json
 (bench_adversarial_golden):
@@ -159,6 +162,9 @@ REQUIRED_COUNTERS = PINNED_COUNTERS + (
     "poisons_per_sec",
     "ratio_loss",
 )
+# Exact Theorem 1 evaluations per round allowed on the serial n=10M
+# insertion and deletion rows.
+MAX_EXACT_PER_ROUND_10M = 10000
 # What a serial PoisonRmi row pins on top of PINNED_COUNTERS: the
 # exchange count and the exchange simulations' work.
 RMI_PINNED_COUNTERS = (
@@ -752,12 +758,14 @@ def check_adversarial(path, live):
 
 
 def check_attack_10m(path):
-    """Gate for the committed n=10M scale rows (ISSUE 9).
+    """Gate for the committed n=10M scale rows.
 
     Usage: tools/check_bench_json.py --attack-10m BENCH_attack_throughput.json
 
     Asserts the committed full-run JSON carries the n=10M insertion and
-    deletion rows with the full argmax counter set, that the deletion
+    deletion rows with the full argmax counter set, that both make at
+    most MAX_EXACT_PER_ROUND_10M exact evaluations per round, that the
+    deletion
     rows surface the block-local removal-SoA commit accounting
     (rem_touched_slots / rem_commits), and that the per-commit touched
     slots grew sublinearly from n=100k to n=10M: the ideal O(sqrt(n))
@@ -781,6 +789,13 @@ def check_attack_10m(path):
         assert float(entry["bound_evals"]) > 0, (
             f"{name}: the pruned argmax never scored a bound at n=10M"
         )
+        rounds = split_args(name)[1][2]
+        per_round = float(entry["exact_evals"]) / rounds
+        assert per_round <= MAX_EXACT_PER_ROUND_10M, (
+            f"{name}: {per_round:.0f} exact evaluations per round at n=10M, "
+            f"above {MAX_EXACT_PER_ROUND_10M}: the argmax bounds stopped "
+            f"pruning at scale"
+        )
 
     def per_commit(name):
         entry = entries[name]
@@ -800,9 +815,10 @@ def check_attack_10m(path):
         f"n=10M ({big:.0f}); the sqrt scaling bound is 10x (gated at 20x)"
     )
     print(
-        f"attack 10M OK: scale rows present, per-commit touched slots "
-        f"{small:.0f} @ 100k -> {big:.0f} @ 10M ({ratio:.1f}x, "
-        f"sqrt bound 10x, gate 20x)"
+        f"attack 10M OK: scale rows present with <= "
+        f"{MAX_EXACT_PER_ROUND_10M} exact evaluations per round, per-commit "
+        f"touched slots {small:.0f} @ 100k -> {big:.0f} @ 10M "
+        f"({ratio:.1f}x, sqrt bound 10x, gate 20x)"
     )
 
 
