@@ -10,6 +10,7 @@
 // --benchmark_min_time cap; the committed JSON comes from a full run.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <map>
@@ -90,6 +91,21 @@ const KeySet& CachedKeyset(Dataset dataset, std::int64_t n) {
   return cache->emplace(key, std::move(*ks)).first->second;
 }
 
+/// Key-store commit cost of an attack run: the per-commit quotient of
+/// the touched slots is the O(sqrt(n)) scaling evidence the --attack-10m
+/// gate holds across the n=100k -> n=10M rows. Rows at n >= 10M also
+/// record the process's peak RSS (getrusage max RSS after the row).
+void ReportCommits(benchmark::State& state, std::int64_t n,
+                   std::int64_t touched_slots, std::int64_t commits) {
+  state.counters["touched_slots"] = static_cast<double>(touched_slots);
+  state.counters["commits"] = static_cast<double>(commits);
+  if (n >= 10000000) {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    state.counters["peak_rss_mb"] = static_cast<double>(ru.ru_maxrss) / 1024.0;
+  }
+}
+
 void ReportGreedy(benchmark::State& state, const GreedyPoisonResult& r,
                   std::int64_t p) {
   state.counters["poisons_per_sec"] = benchmark::Counter(
@@ -136,6 +152,7 @@ void BM_GreedyPoisonCdf_Incremental(benchmark::State& state) {
   }
   ReportGreedy(state, last, p);
   ReportArgmax(state, last.argmax_stats);
+  ReportCommits(state, n, last.commit_touched_slots, last.commits);
   ReportThreads(state, num_threads);
 }
 
@@ -190,13 +207,7 @@ void BM_GreedyDeleteCdf_Incremental(benchmark::State& state) {
       static_cast<double>(d), benchmark::Counter::kIsIterationInvariantRate);
   state.counters["ratio_loss"] = last.RatioLoss();
   ReportArgmax(state, last.argmax_stats);
-  // Block-local removal-SoA commit cost: the per-commit quotient is the
-  // O(sqrt(n)) scaling evidence the --attack-10m gate holds across the
-  // n=100k -> n=10M rows.
-  state.counters["rem_touched_slots"] =
-      static_cast<double>(last.removal_commit_touched_slots);
-  state.counters["rem_commits"] =
-      static_cast<double>(last.removal_commits);
+  ReportCommits(state, n, last.commit_touched_slots, last.commits);
   ReportThreads(state, num_threads);
 }
 
@@ -246,10 +257,7 @@ void BM_GreedyModifyCdf_Incremental(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
   state.counters["ratio_loss"] = last.RatioLoss();
   ReportArgmax(state, last.argmax_stats);
-  state.counters["rem_touched_slots"] =
-      static_cast<double>(last.removal_commit_touched_slots);
-  state.counters["rem_commits"] =
-      static_cast<double>(last.removal_commits);
+  ReportCommits(state, n, last.commit_touched_slots, last.commits);
   ReportThreads(state, num_threads);
 }
 
@@ -353,12 +361,12 @@ BENCHMARK(BM_GreedyPoisonCdf_Incremental)
     ->Args({kUniform, 100000, 1000, 1, 1})
     ->Args({kUniform, 100000, 1000, 1, 0})
     ->Args({kUniform, 100000, 1000, 0, 1})
-    // ISSUE 9 scale row: n=10M (no reference sibling — the
+    // Scale row: n=10M (no reference sibling — the
     // rebuild-per-round baseline needs O(p*n) work per run and would
     // take hours; the --attack-10m gate instead holds the per-commit
-    // counters sublinear against the n=100k rows). Excluded from the
-    // CI smoke filter, present in the committed full-run JSON. The
-    // pooled sibling's rounds (~357k live gaps each) fan out.
+    // counters sublinear against the n=100k rows and requires their
+    // peak_rss_mb). Excluded from the CI smoke filter, present in the
+    // committed full-run JSON. The pooled sibling's rounds fan out.
     ->Args({kUniform, 10000000, 200, 1, 1})
     ->Args({kUniform, 10000000, 200, 0, 1});
 BENCHMARK(BM_GreedyPoisonCdf_Reference)
@@ -382,8 +390,8 @@ BENCHMARK(BM_GreedyDeleteCdf_Incremental)
     ->Args({kUniform, 100000, 200, 1, 0})
     ->Args({kUniform, 100000, 200, 0, 1})
     ->Args({kLogNormal, 100000, 200, 1, 1})
-    // ISSUE 9 scale row: same d=200 budget as the n=100k rows so the
-    // per-commit SoA touched-slot quotient is directly comparable.
+    // Scale row: same d=200 budget as the n=100k rows so the
+    // per-commit touched-slot quotient is directly comparable.
     ->Args({kUniform, 10000000, 200, 1, 1});
 BENCHMARK(BM_GreedyDeleteCdf_Reference)
     ->Unit(benchmark::kMillisecond)

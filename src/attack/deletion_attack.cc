@@ -144,9 +144,8 @@ Result<DeletionAttackResult> GreedyDeleteCdf(
   result.base_loss = LossOfSorted(keyset.keys());
 
   // One landscape for the whole attack: each committed removal updates
-  // the aggregates, the tiered gap decomposition (O(sqrt(G)) merge) and
-  // the removal-candidate SoA in place, so the next round's argmax sees
-  // the mirror-image compound rank shifts exactly.
+  // the aggregates and the key store in place, so the next round's
+  // argmax sees the mirror-image compound rank shifts exactly.
   std::unique_ptr<ThreadPool> pool = MakeAttackPool(options);
   LISPOISON_ASSIGN_OR_RETURN(LossLandscape landscape,
                              LossLandscape::Create(keyset, pool.get()));
@@ -167,9 +166,8 @@ Result<DeletionAttackResult> GreedyDeleteCdf(
     result.loss_trajectory.push_back(best->loss);
   }
   result.attacked_loss = result.loss_trajectory.back();
-  result.removal_commit_touched_slots =
-      landscape.removal_commit_touched_slots();
-  result.removal_commits = landscape.removal_commits();
+  result.commit_touched_slots = landscape.removal_commit_touched_slots();
+  result.commits = landscape.removal_commits();
   return result;
 }
 
@@ -264,9 +262,8 @@ Result<ModificationAttackResult> GreedyModifyCdf(
     result.loss_trajectory.push_back(ins->loss);
     result.attacked_loss = ins->loss;
   }
-  result.removal_commit_touched_slots =
-      landscape.removal_commit_touched_slots();
-  result.removal_commits = landscape.removal_commits();
+  result.commit_touched_slots = landscape.removal_commit_touched_slots();
+  result.commits = landscape.removal_commits();
   return result;
 }
 

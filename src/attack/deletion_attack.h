@@ -9,8 +9,9 @@
 // one deletion with one insertion per round.
 //
 // Both greedy attacks run on the persistent incremental LossLandscape
-// (RemoveKey / InsertKey commits, the pruned removal argmax with its
-// batched SoA bound kernel, and the tiered insertion argmax), selecting
+// (RemoveKey / InsertKey commits into its key store, the pruned removal
+// argmax with its batched bound kernel, and the tiered insertion
+// argmax), selecting
 // bit-identical sequences to the retained rebuild-per-round references
 // for every prune x thread-count combination.
 
@@ -40,13 +41,13 @@ struct DeletionAttackResult {
   /// Removal-argmax work counters summed over all rounds (exact
   /// evaluations, batched bound scores, pruned candidates).
   LossLandscape::ArgmaxStats argmax_stats;
-  /// Block-local removal-SoA commit accounting: total slots rewritten
-  /// across all committed removals, and the commit count. The per-commit
-  /// quotient is O(sqrt(n)) by construction — the n=10M scaling gate in
+  /// Key-store commit accounting: total slots rewritten across all
+  /// committed removals, and the commit count. The per-commit quotient
+  /// is O(sqrt(n)) by construction — the n=10M scaling gate in
   /// tools/check_bench_json.py holds the ratio against the n=100k row.
-  /// Zero for the rebuild-per-round reference (no SoA to maintain).
-  std::int64_t removal_commit_touched_slots = 0;
-  std::int64_t removal_commits = 0;
+  /// Zero for the rebuild-per-round reference (no store to maintain).
+  std::int64_t commit_touched_slots = 0;
+  std::int64_t commits = 0;
 
   double RatioLoss() const { return SafeRatioLoss(attacked_loss, base_loss); }
 };
@@ -55,9 +56,9 @@ struct DeletionAttackResult {
 /// the stored key whose removal maximizes the retrained loss.
 ///
 /// Runs on one persistent LossLandscape: each committed removal updates
-/// the aggregates (O(log n)), the tiered gap decomposition (O(sqrt(G))
-/// merge) and the candidate SoA in place, and each round's argmax is
-/// the pruned FindOptimalRemoval scan — no per-round landscape
+/// the aggregates and the key store (O(sqrt(n))) in place, and each
+/// round's argmax is the pruned FindOptimalRemoval scan — no per-round
+/// landscape
 /// reconstruction. AttackOptions::num_threads / prune_argmax plumb
 /// straight through; the removed-key sequence and loss trajectory are
 /// bit-identical to GreedyDeleteCdfReference for every setting.
@@ -90,11 +91,10 @@ struct ModificationAttackResult {
   std::vector<long double> loss_trajectory;
   /// Combined removal- and insertion-argmax work counters.
   LossLandscape::ArgmaxStats argmax_stats;
-  /// Removal-SoA commit accounting (see DeletionAttackResult); a modify
-  /// round's RemoveKey half contributes, the InsertKey half updates the
-  /// same blocks and is counted identically.
-  std::int64_t removal_commit_touched_slots = 0;
-  std::int64_t removal_commits = 0;
+  /// Key-store commit accounting (see DeletionAttackResult): both
+  /// halves of a move, RemoveKey and InsertKey, count.
+  std::int64_t commit_touched_slots = 0;
+  std::int64_t commits = 0;
 
   double RatioLoss() const { return SafeRatioLoss(attacked_loss, base_loss); }
 };

@@ -109,7 +109,7 @@ Result<std::int64_t> ResumeGreedyCheckpoint(const std::string& path,
     return Status::FailedPrecondition("checkpoint '" + path +
                                       "' is internally inconsistent");
   }
-  // Replay: each committed insertion is an exact integer splice, so
+  // Replay: each committed insertion is an exact integer commit, so
   // the rebuilt landscape holds bit-for-bit the engine state the
   // interrupted run held after round rounds_done.
   for (const Key kp : poison) {
@@ -151,14 +151,13 @@ Result<GreedyPoisonResult> GreedyPoisonCdfCheckpointed(
   result.loss_trajectory.reserve(static_cast<std::size_t>(p));
 
   // One pool for all rounds; the chunked argmax reduction — and the
-  // chunked prefix-scan Create below — are thread-count independent, so
-  // any worker count builds the same landscape and selects the same
-  // keys.
+  // per-block Create below — are thread-count independent, so any
+  // worker count builds the same landscape and selects the same keys.
   std::unique_ptr<ThreadPool> pool = MakeAttackPool(options);
 
   // One landscape for the whole attack: each committed poison updates
-  // the aggregates and the gap decomposition in place, so the next
-  // round's argmax sees the compound rank shifts exactly.
+  // the aggregates and the key store in place, so the next round's
+  // argmax sees the compound rank shifts exactly.
   LISPOISON_ASSIGN_OR_RETURN(LossLandscape landscape,
                              LossLandscape::Create(keyset, pool.get()));
   result.base_loss = landscape.BaseLoss();
@@ -207,6 +206,8 @@ Result<GreedyPoisonResult> GreedyPoisonCdfCheckpointed(
     }
   }
   result.poisoned_loss = result.loss_trajectory.back();
+  result.commit_touched_slots = landscape.removal_commit_touched_slots();
+  result.commits = landscape.removal_commits();
   return result;
 }
 

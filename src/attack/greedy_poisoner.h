@@ -34,6 +34,10 @@ struct GreedyPoisonResult {
   /// bound scores, pruned gaps) — the measurable win of
   /// AttackOptions::prune_argmax, surfaced by bench_attack_throughput.
   LossLandscape::ArgmaxStats argmax_stats;
+  /// Key-store commit accounting: slots rewritten by the committed
+  /// insertions, and the commit count (see DeletionAttackResult).
+  std::int64_t commit_touched_slots = 0;
+  std::int64_t commits = 0;
 
   /// \brief The paper's evaluation metric: poisoned MSE / clean MSE.
   double RatioLoss() const { return SafeRatioLoss(poisoned_loss, base_loss); }
@@ -44,17 +48,17 @@ struct GreedyPoisonResult {
 /// retrained loss.
 ///
 /// Implemented on the incremental LossLandscape engine: the landscape is
-/// built once and each committed poison updates it in place (O(sqrt(G))
-/// tiered gap splice), so a round costs at most O(G) candidate
+/// built once and each committed poison updates its key store in place
+/// (O(sqrt(n)) per commit), so a round costs at most O(G) candidate
 /// evaluations (G = current gap count) with no per-round
 /// KeySet/landscape reconstruction. With AttackOptions::num_threads !=
-/// 1 the per-round argmax scan fans out over chunked gap ranges on a
+/// 1 the per-round argmax scan fans out over chunks of store blocks on a
 /// ThreadPool with a fixed-order reduction; with
 /// AttackOptions::prune_argmax (the default) each scan runs the
 /// branch-and-bound tiered scan (admissible upper bounds, early exit)
-/// — one range bound per gap tier, per-gap re-scoring only inside
-/// surviving tiers — dropping per-round bound work to O(sqrt(G) +
-/// survivors). Selects bit-identical poison sequences to
+/// — one range bound per ~sqrt(n)-key block, per-gap re-scoring only
+/// inside surviving blocks — dropping per-round bound work to
+/// O(sqrt(n) + survivors). Selects bit-identical poison sequences to
 /// GreedyPoisonCdfReference for every thread count and pruning
 /// setting.
 ///

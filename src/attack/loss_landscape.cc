@@ -62,17 +62,6 @@ Result<LossLandscape> LossLandscape::Create(const KeySet& keyset) {
   return Create(keyset, nullptr);
 }
 
-namespace {
-
-/// Base-key indices per parallel Create chunk. Fixed (not derived from
-/// the thread count) so the chunk partials — and therefore every
-/// stitched prefix value — are identical for every pool size; the
-/// exact integer arithmetic then makes the parallel build bit-identical
-/// to the serial one by associativity.
-constexpr std::int64_t kCreateChunkKeys = 1 << 16;
-
-}  // namespace
-
 Result<LossLandscape> LossLandscape::Create(const KeySet& keyset,
                                             ThreadPool* pool) {
   if (keyset.empty()) {
@@ -80,135 +69,14 @@ Result<LossLandscape> LossLandscape::Create(const KeySet& keyset,
         "loss landscape requires a non-empty keyset");
   }
   LossLandscape ll;
-  ll.base_keys_ = keyset.keys();
   ll.domain_ = keyset.domain();
   ll.n_ = keyset.size();
-  ll.shift_ = ll.base_keys_.front();
-  ll.min_key_ = ll.base_keys_.front();
-  ll.max_key_ = ll.base_keys_.back();
-  ll.base_prefix_.assign(static_cast<std::size_t>(ll.n_) + 1, 0);
-
-  const bool parallel = pool != nullptr && pool->num_threads() > 1 &&
-                        ll.n_ > kCreateChunkKeys;
-  std::vector<TieredGaps::GapRec> gaps;
-  if (!parallel) {
-    for (std::int64_t i = 0; i < ll.n_; ++i) {
-      const Int128 shifted =
-          static_cast<Int128>(ll.base_keys_[static_cast<std::size_t>(i)]) -
-          ll.shift_;
-      ll.base_prefix_[static_cast<std::size_t>(i) + 1] =
-          ll.base_prefix_[static_cast<std::size_t>(i)] + shifted;
-      ll.sum_k2_ += shifted * shifted;
-      ll.sum_kr_ += shifted * (i + 1);
-    }
-
-    // Maximal unoccupied runs over the whole domain; interior clipping
-    // happens at query time against the current min/max key. Each
-    // record carries the exact count / shifted prefix-sum of the keys
-    // below it.
-    Key cursor = ll.domain_.lo;
-    std::int64_t base_count = 0;
-    for (const Key k : ll.base_keys_) {
-      if (cursor <= k - 1) {
-        gaps.push_back(TieredGaps::GapRec{
-            cursor, k - 1, base_count,
-            ll.base_prefix_[static_cast<std::size_t>(base_count)]});
-      }
-      cursor = k + 1;
-      ++base_count;
-    }
-  } else {
-    // Two-pass chunked scan: (1) per-chunk partial sums into the chunk's
-    // base_prefix_ slots, per-chunk aggregate totals and gap counts,
-    // (2) serial exclusive scans of the chunk totals and counts, (3) a
-    // parallel pass that adds each chunk's offset to its prefix slots and
-    // writes its gap records straight into their final positions. Every
-    // sum is exact Int128, so the stitched values equal the serial
-    // loop's bit-for-bit.
-    //
-    // The gap *ending* at key i (between key i-1 and key i) belongs to
-    // the chunk containing i, whose cursor re-derives from its left
-    // neighbour — exactly the serial walk's cursor at that index — so
-    // the gap array is element-identical to the serial build's.
-    const std::int64_t num_chunks =
-        (ll.n_ + kCreateChunkKeys - 1) / kCreateChunkKeys;
-    const auto chunks = static_cast<std::size_t>(num_chunks);
-    std::vector<Int128> chunk_sum(chunks, 0);
-    std::vector<Int128> chunk_sum2(chunks, 0);
-    std::vector<Int128> chunk_sumr(chunks, 0);
-    std::vector<std::size_t> chunk_gaps(chunks, 0);
-    auto chunk_cursor = [&ll](std::int64_t lo) {
-      return lo == 0 ? ll.domain_.lo
-                     : ll.base_keys_[static_cast<std::size_t>(lo) - 1] + 1;
-    };
-    pool->ParallelFor(num_chunks, [&](std::int64_t c) {
-      const std::int64_t lo = c * kCreateChunkKeys;
-      const std::int64_t hi = std::min(ll.n_, lo + kCreateChunkKeys);
-      Int128 acc = 0;
-      Int128 acc2 = 0;
-      Int128 accr = 0;
-      std::size_t gap_count = 0;
-      Key cursor = chunk_cursor(lo);
-      for (std::int64_t i = lo; i < hi; ++i) {
-        const Key k = ll.base_keys_[static_cast<std::size_t>(i)];
-        const Int128 shifted = static_cast<Int128>(k) - ll.shift_;
-        acc += shifted;
-        ll.base_prefix_[static_cast<std::size_t>(i) + 1] = acc;
-        acc2 += shifted * shifted;
-        accr += shifted * (i + 1);
-        gap_count += cursor <= k - 1 ? 1 : 0;
-        cursor = k + 1;
-      }
-      chunk_sum[static_cast<std::size_t>(c)] = acc;
-      chunk_sum2[static_cast<std::size_t>(c)] = acc2;
-      chunk_sumr[static_cast<std::size_t>(c)] = accr;
-      chunk_gaps[static_cast<std::size_t>(c)] = gap_count;
-    });
-    std::vector<Int128> chunk_offset(chunks, 0);
-    std::vector<std::size_t> gap_offset(chunks, 0);
-    Int128 run = 0;
-    std::size_t total_gaps = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      chunk_offset[c] = run;
-      run += chunk_sum[c];
-      ll.sum_k2_ += chunk_sum2[c];
-      ll.sum_kr_ += chunk_sumr[c];
-      gap_offset[c] = total_gaps;
-      total_gaps += chunk_gaps[c];
-    }
-    gaps.reserve(total_gaps + 1);  // + the tail gap below.
-    gaps.resize(total_gaps);
-    pool->ParallelFor(num_chunks, [&](std::int64_t c) {
-      const Int128 off = chunk_offset[static_cast<std::size_t>(c)];
-      const std::int64_t lo = c * kCreateChunkKeys;
-      const std::int64_t hi = std::min(ll.n_, lo + kCreateChunkKeys);
-      TieredGaps::GapRec* out =
-          gaps.data() + gap_offset[static_cast<std::size_t>(c)];
-      Key cursor = chunk_cursor(lo);
-      for (std::int64_t i = lo; i < hi; ++i) {
-        ll.base_prefix_[static_cast<std::size_t>(i) + 1] += off;
-        const Key k = ll.base_keys_[static_cast<std::size_t>(i)];
-        if (cursor <= k - 1) {
-          *out++ = TieredGaps::GapRec{
-              cursor, k - 1, i, ll.base_prefix_[static_cast<std::size_t>(i)]};
-        }
-        cursor = k + 1;
-      }
-    });
-  }
-  ll.sum_k_ = ll.base_prefix_[static_cast<std::size_t>(ll.n_)];
-  ll.inserted_slot_sum_.Reset(static_cast<std::size_t>(ll.n_) + 1);
-
-  // Tail gap above the largest base key (the serial walk's final
-  // cursor == base_keys_.back() + 1 in the parallel path too).
-  const Key tail = ll.base_keys_.back() + 1;
-  if (tail <= ll.domain_.hi) {
-    gaps.push_back(TieredGaps::GapRec{
-        tail, ll.domain_.hi, ll.n_,
-        ll.base_prefix_[static_cast<std::size_t>(ll.n_)]});
-  }
-  ll.gaps_.Build(std::move(gaps));
-
+  ll.shift_ = keyset.keys().front();
+  const KeyStore::Totals totals = ll.store_.Build(
+      keyset.keys(), ll.shift_, ll.domain_.hi, ll.PruneDomainOk(), pool);
+  ll.sum_k_ = totals.sum;
+  ll.sum_k2_ = totals.sum2;
+  ll.sum_kr_ = totals.sumr;
   ll.RecomputeCurrentLoss();
   return ll;
 }
@@ -218,33 +86,28 @@ void LossLandscape::RecomputeCurrentLoss() {
 }
 
 LossLandscape::PrefixStats LossLandscape::PrefixAt(Key kp) const {
-  const auto base_it =
-      std::lower_bound(base_keys_.begin(), base_keys_.end(), kp);
-  const std::size_t j = static_cast<std::size_t>(base_it - base_keys_.begin());
-  const auto ins_it = std::lower_bound(inserted_.begin(), inserted_.end(), kp);
+  return PrefixAt(store_.Locate(kp));
+}
 
+LossLandscape::PrefixStats LossLandscape::PrefixAt(
+    const KeyStore::Pos& p) const {
+  const KeyStore::Block& blk = store_.block(p.block);
   PrefixStats stats;
-  stats.count_less = static_cast<Rank>(j) +
-                     static_cast<Rank>(ins_it - inserted_.begin());
-  stats.prefix_sum = base_prefix_[j] + inserted_slot_sum_.PrefixSum(j);
-  // Inserted keys sharing base slot j but below kp are not covered by the
-  // Fenwick prefix; they form a contiguous overlay range.
-  auto slot_begin = inserted_.begin();
-  if (j > 0) {
-    slot_begin = std::lower_bound(inserted_.begin(), ins_it,
-                                  base_keys_[j - 1]);
+  stats.count_less = blk.count_before + static_cast<Rank>(p.index);
+  // The keys from p on in this block: one local suffix read, or one
+  // walk where the store keeps no local sums.
+  Int128 tail = 0;
+  if (p.index < blk.keys.size()) {
+    if (store_.with_sa()) {
+      tail = static_cast<Int128>(blk.sa_local[p.index]) + blk.keys[p.index] -
+             shift_;
+    } else {
+      for (std::size_t j = p.index; j < blk.keys.size(); ++j) {
+        tail += static_cast<Int128>(blk.keys[j]) - shift_;
+      }
+    }
   }
-  for (auto it = slot_begin; it != ins_it; ++it) {
-    stats.prefix_sum += static_cast<Int128>(*it) - shift_;
-  }
-  // Removed base keys are tombstones: those below kp (exactly the ones
-  // with base index < j) leave both the count and the prefix sum.
-  if (!removed_.empty()) {
-    const auto rem_it =
-        std::lower_bound(removed_.begin(), removed_.end(), kp);
-    stats.count_less -= static_cast<Rank>(rem_it - removed_.begin());
-    stats.prefix_sum -= removed_idx_sum_.PrefixSum(j);
-  }
+  stats.prefix_sum = sum_k_ - blk.sum_after - tail;
   return stats;
 }
 
@@ -253,15 +116,13 @@ Status LossLandscape::InsertKey(Key kp) {
     return Status::OutOfRange("poisoning key " + std::to_string(kp) +
                               " outside the key domain");
   }
-  // A key is unoccupied iff it lies inside a gap.
-  std::size_t tier_idx = 0;
-  std::size_t gap_idx = 0;
-  if (!gaps_.Locate(kp, &tier_idx, &gap_idx)) {
+  const KeyStore::Pos pos = store_.Locate(kp);
+  if (store_.Holds(pos, kp)) {
     return Status::InvalidArgument("poisoning key " + std::to_string(kp) +
                                    " is already occupied");
   }
 
-  const PrefixStats stats = PrefixAt(kp);
+  const PrefixStats stats = PrefixAt(pos);
   const Int128 kp_s = static_cast<Int128>(kp) - shift_;
   const Int128 suffix_above = sum_k_ - stats.prefix_sum;
   // Compound effect: every key above kp gains one rank (adding the
@@ -271,49 +132,10 @@ Status LossLandscape::InsertKey(Key kp) {
   sum_k2_ += kp_s * kp_s;
   n_ += 1;
   RecomputeCurrentLoss();
-
-  const std::size_t base_slot = static_cast<std::size_t>(
-      std::lower_bound(base_keys_.begin(), base_keys_.end(), kp) -
-      base_keys_.begin());
-  // Re-inserting a removed base key cancels its tombstone (base_slot is
-  // its base index); anything else joins the inserted overlay.
-  bool was_removed = false;
-  if (!removed_.empty()) {
-    const auto rit = std::lower_bound(removed_.begin(), removed_.end(), kp);
-    if (rit != removed_.end() && *rit == kp) {
-      removed_.erase(rit);
-      removed_idx_sum_.Add(base_slot, -kp_s);
-      was_removed = true;
-    }
-  }
-  if (!was_removed) {
-    inserted_slot_sum_.Add(base_slot, kp_s);
-    inserted_.insert(std::lower_bound(inserted_.begin(), inserted_.end(), kp),
-                     kp);
-  }
-
-  // Split the gap around kp (it contains no other key by construction):
-  // an O(sqrt(G)) tiered splice that also folds kp into the per-gap
-  // count/prefix-sum bookkeeping and the per-tier aggregate boxes.
-  gaps_.SplitAt(tier_idx, gap_idx, kp, kp_s);
-
-  if (kp < min_key_) min_key_ = kp;
-  if (kp > max_key_) max_key_ = kp;
-
-  // Removal-SoA maintenance (only once a removal argmax materialized
-  // it): one block's local suffixes gain kp's shifted value, plus
-  // O(sqrt(n)) directory scalars — no O(n) pass.
-  if (rem_soa_.built()) {
-    if (rem_soa_.with_sa() && !PruneDomainOk()) {
-      // The magnitude guard broke as n grew: the int64 suffix sums are
-      // no longer provably safe. Drop the SoA; the next removal argmax
-      // rebuilds or falls back.
-      rem_soa_.Clear();
-    } else {
-      rem_soa_.Insert(
-          kp, rem_soa_.with_sa() ? static_cast<std::int64_t>(kp_s) : 0);
-    }
-  }
+  store_.Insert(kp);
+  // The magnitude guard can break as n grows: the int64 local sums are
+  // then no longer provably safe, and the store drops them.
+  store_.SetSuffixSums(PruneDomainOk());
   return Status::OK();
 }
 
@@ -322,13 +144,10 @@ Status LossLandscape::RemoveKey(Key kp) {
     return Status::OutOfRange("key " + std::to_string(kp) +
                               " outside the key domain");
   }
-  {
-    std::size_t tier_idx = 0;
-    std::size_t gap_idx = 0;
-    if (gaps_.Locate(kp, &tier_idx, &gap_idx)) {
-      return Status::InvalidArgument("key " + std::to_string(kp) +
-                                     " is not currently stored");
-    }
+  const KeyStore::Pos pos = store_.Locate(kp);
+  if (!store_.Holds(pos, kp)) {
+    return Status::InvalidArgument("key " + std::to_string(kp) +
+                                   " is not currently stored");
   }
   if (n_ <= 2) {
     return Status::FailedPrecondition(
@@ -336,7 +155,7 @@ Status LossLandscape::RemoveKey(Key kp) {
         " would leave fewer than two points to regress on");
   }
 
-  const PrefixStats stats = PrefixAt(kp);
+  const PrefixStats stats = PrefixAt(pos);
   const Int128 kp_s = static_cast<Int128>(kp) - shift_;
   const Int128 suffix_above = sum_k_ - stats.prefix_sum - kp_s;
   // Mirror-image compound effect: every key above kp loses one rank
@@ -347,46 +166,9 @@ Status LossLandscape::RemoveKey(Key kp) {
   sum_k2_ -= kp_s * kp_s;
   n_ -= 1;
   RecomputeCurrentLoss();
-
-  // Overlay bookkeeping: an inserted key leaves its overlay; a base key
-  // gains a tombstone (the Create-time array stays immutable).
-  const auto ins_it =
-      std::lower_bound(inserted_.begin(), inserted_.end(), kp);
-  const std::size_t base_idx = static_cast<std::size_t>(
-      std::lower_bound(base_keys_.begin(), base_keys_.end(), kp) -
-      base_keys_.begin());
-  if (ins_it != inserted_.end() && *ins_it == kp) {
-    inserted_slot_sum_.Add(base_idx, -kp_s);
-    inserted_.erase(ins_it);
-  } else {
-    if (removed_idx_sum_.size() == 0) {
-      removed_idx_sum_.Reset(base_keys_.size());
-    }
-    removed_idx_sum_.Add(base_idx, kp_s);
-    removed_.insert(std::lower_bound(removed_.begin(), removed_.end(), kp),
-                    kp);
-  }
-
-  // Merge kp into the gap decomposition (O(sqrt(G)) tiered merge), then
-  // re-derive the min/max bookkeeping from the merged gap: its hi + 1
-  // (lo - 1) is the next occupied key above (below) kp.
-  gaps_.MergeAt(kp, kp_s, stats.count_less, stats.prefix_sum);
-  if (kp == min_key_ || kp == max_key_) {
-    std::size_t ti = 0;
-    std::size_t gi = 0;
-    if (gaps_.Locate(kp, &ti, &gi)) {
-      const TieredGaps::GapRec& g = gaps_.tiers()[ti].gaps[gi];
-      if (kp == min_key_) min_key_ = g.hi + 1;
-      if (kp == max_key_) max_key_ = g.lo - 1;
-    }
-  }
-
-  // Removal-SoA maintenance: the exact dual — kp's block sheds its
-  // shifted value locally, directory scalars adjust, underflow merges.
-  if (rem_soa_.built()) {
-    rem_soa_.Remove(
-        kp, rem_soa_.with_sa() ? static_cast<std::int64_t>(kp_s) : 0);
-  }
+  store_.Remove(kp);
+  // A shrinking keyset can bring the magnitude guard back.
+  store_.SetSuffixSums(PruneDomainOk());
   return Status::OK();
 }
 
@@ -408,15 +190,12 @@ Result<long double> LossLandscape::LossAt(Key kp) const {
     return Status::OutOfRange("poisoning key " + std::to_string(kp) +
                               " outside the key domain");
   }
-  // A key is occupied iff it lies in no gap — the one test that stays
-  // correct under both the inserted and the removed overlay.
-  std::size_t tier_idx = 0;
-  std::size_t gap_idx = 0;
-  if (!gaps_.Locate(kp, &tier_idx, &gap_idx)) {
+  const KeyStore::Pos pos = store_.Locate(kp);
+  if (store_.Holds(pos, kp)) {
     return Status::InvalidArgument("poisoning key " + std::to_string(kp) +
                                    " is already occupied");
   }
-  const PrefixStats stats = PrefixAt(kp);
+  const PrefixStats stats = PrefixAt(pos);
   return aggregates().LossAfterInsert(kp, stats.count_less,
                                       sum_k_ - stats.prefix_sum);
 }
@@ -434,8 +213,8 @@ std::vector<Key> LossLandscape::GapEndpoints(bool interior_only) const {
 std::vector<std::pair<Key, long double>> LossLandscape::Sweep(
     bool interior_only) const {
   std::vector<std::pair<Key, long double>> out;
-  const Key lo = interior_only ? min_key_ + 1 : domain_.lo;
-  const Key hi = interior_only ? max_key_ - 1 : domain_.hi;
+  const Key lo = interior_only ? min_key() + 1 : domain_.lo;
+  const Key hi = interior_only ? max_key() - 1 : domain_.hi;
   if (lo > hi) return out;
   out.reserve(static_cast<std::size_t>(
       std::min<std::int64_t>(hi - lo + 1, kSweepReserveCap)));
@@ -473,7 +252,7 @@ constexpr double kNoBound = -std::numeric_limits<double>::infinity();
 constexpr std::size_t kBatchMinGaps = 32;
 
 /// Units per sub-block, the skeleton's second bound level. A group of
-/// at most this many units skips the level.
+/// at most this many gaps skips the level.
 constexpr std::int64_t kSubBlockUnits = 64;
 
 /// Groups whose bound inputs the group-bound pass prefetches ahead of
@@ -485,6 +264,13 @@ constexpr std::size_t kPrefetchGroups = 4;
 /// Sub-blocks of a group of \p m units; 0 when it skips the level.
 inline std::int64_t SubBlockCount(std::int64_t m) {
   return m > kSubBlockUnits ? (m + kSubBlockUnits - 1) / kSubBlockUnits : 0;
+}
+
+/// Sub-blocks of group \p g of a candidate source: a group of at most
+/// kSubBlockUnits gaps skips the level, however many units it spans.
+template <typename Src>
+std::int64_t SubBlocksOf(const Src& src, std::size_t g) {
+  return src.Gaps(g) > kSubBlockUnits ? SubBlockCount(src.Units(g)) : 0;
 }
 
 /// Forward-error arithmetic for the bounds (Higham, *Accuracy and
@@ -545,8 +331,8 @@ double RoundUpToDouble(long double v) {
 /// into Dr.
 ///
 /// Group bounds (UpperLine) take a line that stays below Cov over a key
-/// range: the left tangent for gap tiers (UpperRange), the chord through
-/// a run's end keys for removal (UpperBlock). Every candidate's
+/// range: the left tangent for a run of gaps (UpperRange), the chord
+/// through a run's end keys for removal (UpperBlock). Every candidate's
 /// Cov^2/VarX is then at least g(x) = line(x)^2 / V(x) while the line
 /// stays positive, and g's minimum over the range is at an end or at its
 /// one interior critical point. For the convex insertion parabola that
@@ -754,7 +540,7 @@ struct LossLandscape::BoundCtx {
     return Finish(t_a + drop);
   }
 
-  /// The tier bound of the gap source: over every candidate in
+  /// The group bound of the gap source: over every candidate in
   /// [xl, xh], from the exact (c, s) of the range's first gap. Along
   /// the candidate axis Cov is continuous, piecewise linear and convex:
   /// inside a gap its slope is n1 c - SY, and passing a key adds one to
@@ -897,11 +683,14 @@ void LossLandscape::PoisonArgmaxScratchForTesting() const {
 // ---------------------------------------------------------------------
 // The argmax skeleton. Insertion and removal run one branch-and-bound
 // scan over a *candidate source*: groups of consecutive candidate units
-// in key order (gap tiers or key blocks). A source supplies the bound
-// of a group, the bound of any run of a group's units (the sub-block
-// level), the per-unit bounds of such a run (-inf for a unit with no
-// admissible candidate) and the exact evaluation of one unit; the
-// skeleton owns the walk, the seeding, the pruning and the fan-out.
+// in key order (the units of one key-store block). A source supplies
+// the units and gaps of a group, whether a run of its units holds no
+// gap, the bound of a group, the bound of any run of a group's units
+// (the sub-block level), the per-unit bounds of such a run (-inf for a
+// unit with no admissible candidate; a group or run with no gap has
+// bound -inf and costs no bound evaluation) and the exact evaluation of
+// one unit; the skeleton owns the walk, the seeding, the pruning and
+// the fan-out. The counters count gaps.
 // Sources are plain structs passed as template arguments, so the bound
 // kernels inline into the scan loops.
 // ---------------------------------------------------------------------
@@ -974,8 +763,8 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
     for (std::size_t g = 0; g < groups; ++g) {
       if (g + kPrefetchGroups < groups) src.Prefetch(g + kPrefetchGroups);
       group_bound[g] = src.GroupBound(g);
+      stats->bound_evals += group_bound[g] != kNoBound ? 1 : 0;
     }
-    stats->bound_evals += static_cast<std::int64_t>(groups);
 
     // Seed at the best unit bound of the group with the highest bound
     // (first maxima, so every partition takes the same seed). Its
@@ -988,7 +777,7 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
         std::max_element(group_bound, group_bound + groups) - group_bound);
     if (seed_g != groups) {
       const std::int64_t m = src.Units(seed_g);
-      const std::int64_t subs = SubBlockCount(m);
+      const std::int64_t subs = SubBlocksOf(src, seed_g);
       const double* seed_subs = argmax_sub_bounds_.data();
       const std::int64_t first_sb =
           SubBlockBounds(src, seed_g, argmax_sub_bounds_.data(), stats);
@@ -1028,7 +817,8 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
     if (pooled) {
       live_units = 0;
       for (std::size_t g = 0; g < groups; ++g) {
-        if (!incumbent.have || group_bound[g] >= incumbent.best.loss) {
+        if (group_bound[g] != kNoBound &&
+            (!incumbent.have || group_bound[g] >= incumbent.best.loss)) {
           live_units += src.Units(g);
         }
       }
@@ -1064,7 +854,7 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
 
   if (mode == ScanMode::kTiered) {
     // Shared: per chunk, the suffix maxima of its group bounds and its
-    // suffix unit counts.
+    // suffix gap counts.
     EnsureScratchSize(&argmax_tier_suffix_max_, groups, &scratch_reallocs_);
     EnsureScratchSize(&argmax_tier_suffix_cnt_, groups, &scratch_reallocs_);
     const double* group_bound = argmax_tier_bounds_.data();
@@ -1074,7 +864,7 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
       double run_max = kNoBound;
       std::int64_t run_cnt = 0;
       for (std::size_t g = chunk.end; g > chunk.first; --g) {
-        run_cnt += src.Units(g - 1);
+        run_cnt += src.Gaps(g - 1);
         if (group_bound[g - 1] > run_max) run_max = group_bound[g - 1];
         suffix_max[g - 1] = run_max;
         suffix_cnt[g - 1] = run_cnt;
@@ -1095,7 +885,8 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
     const std::int64_t* suffix_cnt = argmax_tier_suffix_cnt_.data();
     std::size_t live = 0;
     for (const ArgmaxChunk& chunk : chunks) {
-      if (incumbent.have && suffix_max[chunk.first] < incumbent.best.loss) {
+      if (suffix_max[chunk.first] == kNoBound ||
+          (incumbent.have && suffix_max[chunk.first] < incumbent.best.loss)) {
         stats->pruned_gaps += suffix_cnt[chunk.first];
         stats->cached_bounds += suffix_cnt[chunk.first];
       } else {
@@ -1154,12 +945,12 @@ std::int64_t LossLandscape::SubBlockBounds(const Src& src, std::size_t g,
                                            double* out,
                                            ArgmaxStats* stats) const {
   const std::int64_t m = src.Units(g);
-  const std::int64_t subs = SubBlockCount(m);
+  const std::int64_t subs = SubBlocksOf(src, g);
   for (std::int64_t sb = 0; sb < subs; ++sb) {
     const std::int64_t begin = sb * kSubBlockUnits;
     out[sb] = src.SubBound(g, begin, std::min(m, begin + kSubBlockUnits));
+    stats->bound_evals += out[sb] != kNoBound ? 1 : 0;
   }
-  stats->bound_evals += subs;
   return subs == 0 ? 0 : std::max_element(out, out + subs) - out;
 }
 
@@ -1170,23 +961,29 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
                                     ArgmaxFold* fold,
                                     ArgmaxStats* stats) const {
   // A bound that cannot reach the running best prunes (>= keeps exact
-  // ties alive for the smaller-key rule).
+  // ties alive for the smaller-key rule), and so does the bound of a run
+  // with no gap.
   auto below_best = [fold](double bound) {
-    return fold->have && bound < fold->best.loss;
+    return bound == kNoBound || (fold->have && bound < fold->best.loss);
   };
 
   if (mode == ScanMode::kExhaustive) {
+    // Every unit exactly, but a 64-unit run with no gap in O(1).
     for (std::size_t g = chunk.first; g < chunk.end; ++g) {
       const std::int64_t m = src.Units(g);
-      for (std::int64_t j = 0; j < m; ++j) src.Exact(g, j, fold, stats);
+      for (std::int64_t begin = 0; begin < m; begin += kSubBlockUnits) {
+        const std::int64_t end = std::min(m, begin + kSubBlockUnits);
+        if (src.Gapless(g, begin, end)) continue;
+        for (std::int64_t j = begin; j < end; ++j) src.Exact(g, j, fold, stats);
+      }
     }
     return;
   }
 
   // Tiered sweep in key order over the bounds RunArgmax prepared.
-  // Accounting: a unit is "cached" when its group's bound disposed of
-  // it, "invalidated" when its group survived (its sub-block's bound,
-  // and then its own, were scored).
+  // Accounting, in gaps: a gap is "cached" when its group's bound
+  // disposed of it, "invalidated" when its group survived (its
+  // sub-block's bound, and then its own, were scored).
   const std::size_t stride = src.MaxUnits();
   const std::size_t sub_stride =
       static_cast<std::size_t>(std::max<std::int64_t>(
@@ -1206,14 +1003,15 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
       return;
     }
     const std::int64_t m = src.Units(g);
+    const std::int64_t gaps = src.Gaps(g);
     if (below_best(group_bound[g])) {
-      stats->pruned_gaps += m;
-      stats->cached_bounds += m;
+      stats->pruned_gaps += gaps;
+      stats->cached_bounds += gaps;
       continue;
     }
-    stats->invalidated_gaps += m;
+    stats->invalidated_gaps += gaps;
     const bool seed_group = g == seed_g;
-    const std::int64_t subs = SubBlockCount(m);
+    const std::int64_t subs = SubBlocksOf(src, g);
     const double* sub_bound = seed_subs;
     if (!seed_group && subs > 0) {
       SubBlockBounds(src, g, sub_scratch, stats);
@@ -1223,7 +1021,9 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
       const std::int64_t begin = sb * kSubBlockUnits;
       const std::int64_t end = subs == 0 ? m : std::min(m, begin + kSubBlockUnits);
       if (subs > 0 && below_best(sub_bound[sb])) {
-        stats->pruned_gaps += end - begin;
+        if (sub_bound[sb] != kNoBound) {
+          stats->pruned_gaps += src.Gaps(g, begin, end);
+        }
         continue;
       }
       // Unit bounds indexed by unit: the seed group's staged ones, or
@@ -1247,11 +1047,16 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
   }
 }
 
-/// Insertion candidates. A unit is one maximal gap inside the scan
-/// range, offered at its two endpoints (Theorem 2) minus the excluded
-/// keys. A group is the in-range slice of one tier.
+/// Insertion candidates. A unit is the gap after one stored key, up to
+/// the next key (or the domain's end), offered at its two endpoints
+/// (Theorem 2) minus the excluded keys; after a key whose successor is
+/// adjacent the gap is empty and the unit holds no candidate. A group
+/// is the in-range slice of one key-store block. The record of the gap
+/// after key i of a block is the key's own: count_before + i + 1 keys
+/// below it and the suffix sa_local[i] + sum_after above it, both
+/// shifted into the snapshot by its rank_adj and prefix_adj.
 struct LossLandscape::GapSource {
-  static constexpr std::size_t kSoaLanes = 4;
+  static constexpr std::size_t kSoaLanes = 5;
 
   const LossLandscape& ll;
   const GapSnapshot& snap;
@@ -1265,103 +1070,164 @@ struct LossLandscape::GapSource {
   std::int64_t Units(std::size_t g) const {
     return static_cast<std::int64_t>(groups[g].end - groups[g].begin);
   }
+  std::int64_t Gaps(std::size_t g) const { return groups[g].gaps; }
+  std::int64_t Gaps(std::size_t g, std::int64_t begin,
+                    std::int64_t end) const {
+    return ll.store_.CountGaps(groups[g].block, Index(g, begin),
+                               Index(g, end));
+  }
   std::size_t MaxUnits() const {
-    return static_cast<std::size_t>(ll.gaps_.tier_cap());
+    return static_cast<std::size_t>(ll.store_.block_cap());
   }
-  const TieredGaps::Tier& TierOf(std::size_t g) const {
-    return ll.gaps_.tiers()[groups[g].tier];
+  const KeyStore::Block& Blk(std::size_t g) const {
+    return ll.store_.block(groups[g].block);
   }
-  const TieredGaps::GapRec& Rec(std::size_t g, std::int64_t j) const {
-    return TierOf(g).gaps[groups[g].begin + static_cast<std::size_t>(j)];
+  /// Block index of unit j of group g.
+  std::size_t Index(std::size_t g, std::int64_t j) const {
+    return groups[g].begin + static_cast<std::size_t>(j);
+  }
+  Key GapHi(std::size_t g, std::size_t i) const {
+    return ll.store_.GapHi(groups[g].block, i);
   }
   bool Excluded(Key k) const {
     return excluded != nullptr && excluded->count(k) != 0;
   }
-  /// What turns a record of tier \p t into the snapshot's count of
-  /// keys below it and their shifted sum.
-  Rank CountOffset(const TieredGaps::Tier& t) const {
-    return t.delta_cnt - snap.rank_adj;
-  }
-  Int128 SumOffset(const TieredGaps::Tier& t) const {
-    return t.delta_sum - snap.prefix_adj;
+  /// The snapshot's count of keys below the gap after key i of \p blk
+  /// is count_before + i + CountOff(), and the shifted sum above it is
+  /// sa_local[i] + SuffixOff(blk).
+  Rank CountOff() const { return 1 - snap.rank_adj; }
+  Int128 SuffixOff(const KeyStore::Block& blk) const {
+    return blk.sum_after + snap.agg.sum_k + snap.prefix_adj - ll.sum_k_;
   }
 
   /// The covariance left-tangent bound (BoundCtx::UpperRange) over the
-  /// keys [first.lo, hi], from record \p first of tier \p t. It ignores
-  /// `excluded`: an excluded endpoint only makes it an admissible
-  /// over-estimate.
-  double RangeBound(const TieredGaps::Tier& t, const TieredGaps::GapRec& first,
-                    Key hi) const {
+  /// keys [keys[i] + 1, hi], from the record of key i of group \p g. It
+  /// ignores `excluded`: an excluded endpoint only makes it an
+  /// admissible over-estimate.
+  double RangeBound(std::size_t g, std::size_t i, Key hi) const {
+    const KeyStore::Block& blk = Blk(g);
     return ctx.UpperRange(
-        static_cast<double>(first.lo - ll.shift_),
+        static_cast<double>(blk.keys[i] - ll.shift_ + 1),
         static_cast<double>(hi - ll.shift_),
-        static_cast<double>(first.cnt + CountOffset(t) + 1),
-        static_cast<double>(snap.agg.sum_k - (first.sum + SumOffset(t))));
+        static_cast<double>(blk.count_before + static_cast<Rank>(i) +
+                            CountOff() + 1),
+        static_cast<double>(static_cast<Int128>(blk.sa_local[i]) +
+                            SuffixOff(blk)));
   }
 
-  /// Starts loading the records GroupBound(g) reads.
+  /// Starts loading the keys and records GroupBound(g) reads.
   void Prefetch(std::size_t g) const {
-    __builtin_prefetch(&Rec(g, 0));
-    __builtin_prefetch(&Rec(g, Units(g) - 1));
+    const KeyStore::Block& blk = Blk(g);
+    __builtin_prefetch(&blk.keys[groups[g].begin]);
+    __builtin_prefetch(&blk.keys[groups[g].end - 1]);
+    __builtin_prefetch(&blk.sa_local[groups[g].begin]);
   }
 
-  /// Over the keys of gaps [begin, end) of group \p g. A group's
-  /// records all lie in the scan range, above a removed minimum.
+  /// True when the gaps after keys [begin, end) of group \p g are all
+  /// empty: those keys and the key after them are consecutive, so their
+  /// key span equals their index span.
+  bool Gapless(std::size_t g, std::int64_t begin, std::int64_t end) const {
+    const std::size_t first = Index(g, begin);
+    const std::size_t last = Index(g, end - 1);
+    return GapHi(g, last) - Blk(g).keys[first] ==
+           static_cast<Key>(last - first);
+  }
+
+  /// Over the gaps after keys [begin, end) of group \p g; -inf with no
+  /// bound evaluation when they are all empty.
   double SubBound(std::size_t g, std::int64_t begin, std::int64_t end) const {
-    return RangeBound(TierOf(g), Rec(g, begin), Rec(g, end - 1).hi);
+    if (Gapless(g, begin, end)) return kNoBound;
+    return RangeBound(g, Index(g, begin), GapHi(g, Index(g, end - 1)));
   }
   double GroupBound(std::size_t g) const { return SubBound(g, 0, Units(g)); }
 
-  /// max(bound(lo), bound(hi)) per gap of [begin, end) over its
-  /// non-excluded endpoints, into out[0, end - begin). A run of at least
-  /// kBatchMinGaps gaps with no exclusions takes the batched kernel: a
-  /// scalar pass unpacks the gap records into \p soa, then the
-  /// branch-free BoundCtx::Upper auto-vectorizes over it. Both paths
-  /// give the same values and count the same bound_evals.
+  /// max(bound(lo), bound(hi)) per gap of units [begin, end) over its
+  /// non-excluded endpoints (-inf for an empty gap), into
+  /// out[0, end - begin), one 64-unit run at a time: a run with no gap
+  /// only fills its -inf bounds.
   void UnitBounds(std::size_t g, std::int64_t begin, std::int64_t end,
                   double* out, double* soa, ArgmaxStats* stats) const {
-    const TieredGaps::Tier& t = TierOf(g);
-    const TieredGaps::GapRec* gaps = &Rec(g, begin);
+    for (std::int64_t first = begin; first < end; first += kSubBlockUnits) {
+      const std::int64_t last = std::min(end, first + kSubBlockUnits);
+      double* run_out = out + (first - begin);
+      if (Gapless(g, first, last)) {
+        std::fill(run_out, run_out + (last - first), kNoBound);
+      } else {
+        RunBounds(g, first, last, run_out, soa, stats);
+      }
+    }
+  }
+
+  /// UnitBounds of one run. A run of at least kBatchMinGaps units with
+  /// no exclusions takes the batched kernel: a scalar pass unpacks the
+  /// records of the non-empty gaps into \p soa, packed, then the
+  /// branch-free BoundCtx::Upper auto-vectorizes over them and a last
+  /// pass scatters the results. Both paths give the same values and
+  /// count the same bound_evals.
+  void RunBounds(std::size_t g, std::int64_t begin, std::int64_t end,
+                 double* out, double* soa, ArgmaxStats* stats) const {
+    const KeyStore::Block& blk = Blk(g);
+    const std::size_t i0 = Index(g, begin);
     const auto m = static_cast<std::size_t>(end - begin);
+    const Key* keys = blk.keys.data() + i0;
+    const std::int64_t* sal = blk.sa_local.data() + i0;
     const Key shift = ll.shift_;
-    const Int128 sum_k = snap.agg.sum_k;
-    const Rank cnt_off = CountOffset(t) + 1;
-    const Int128 sum_off = SumOffset(t);
+    const double c0 = static_cast<double>(
+        blk.count_before + static_cast<Rank>(i0) + CountOff() + 1);
+    // Inside the magnitude guard every snapshot suffix fits int64.
+    const auto sa_off = static_cast<std::int64_t>(SuffixOff(blk));
+    const Key last_hi = GapHi(g, i0 + m - 1);
+    auto hi_of = [keys, m, last_hi](std::size_t j) {
+      return j + 1 < m ? keys[j + 1] - 1 : last_hi;
+    };
     if (excluded == nullptr && m >= kBatchMinGaps) {
       double* x_lo = soa;
       double* x_hi = soa + m;
       double* c1 = soa + 2 * m;
       double* s = soa + 3 * m;
+      double* at = soa + 4 * m;  // The unit of each packed lane (exact).
+      std::size_t live = 0;
       std::int64_t evals = 0;
       for (std::size_t j = 0; j < m; ++j) {
-        x_lo[j] = static_cast<double>(gaps[j].lo - shift);
-        x_hi[j] = static_cast<double>(gaps[j].hi - shift);
-        c1[j] = static_cast<double>(gaps[j].cnt + cnt_off);
-        s[j] = static_cast<double>(sum_k - (gaps[j].sum + sum_off));
-        evals += gaps[j].hi != gaps[j].lo ? 2 : 1;
+        out[j] = kNoBound;
+        const Key hi = hi_of(j);
+        if (hi <= keys[j]) continue;  // An empty gap.
+        x_lo[live] = static_cast<double>(keys[j] - shift + 1);
+        x_hi[live] = static_cast<double>(hi - shift);
+        c1[live] = c0 + static_cast<double>(j);
+        s[live] = static_cast<double>(sal[j] + sa_off);
+        at[live] = static_cast<double>(j);
+        evals += hi - 1 > keys[j] ? 2 : 1;
+        ++live;
       }
       stats->bound_evals += evals;
       const BoundCtx c = ctx;  // Local copy: no aliasing against the lanes.
-      for (std::size_t j = 0; j < m; ++j) {
-        const double b1 = c.Upper(x_lo[j], c1[j], s[j]);
-        const double b2 = c.Upper(x_hi[j], c1[j], s[j]);
-        out[j] = b2 > b1 ? b2 : b1;
+      for (std::size_t k = 0; k < live; ++k) {
+        const double b1 = c.Upper(x_lo[k], c1[k], s[k]);
+        const double b2 = c.Upper(x_hi[k], c1[k], s[k]);
+        x_lo[k] = b2 > b1 ? b2 : b1;
+      }
+      for (std::size_t k = 0; k < live; ++k) {
+        out[static_cast<std::size_t>(at[k])] = x_lo[k];
       }
       return;
     }
     for (std::size_t j = 0; j < m; ++j) {
-      const TieredGaps::GapRec& r = gaps[j];
-      const double c1 = static_cast<double>(r.cnt + cnt_off);
-      const double s = static_cast<double>(sum_k - (r.sum + sum_off));
-      double bnd = -std::numeric_limits<double>::infinity();
-      if (!Excluded(r.lo)) {
-        bnd = ctx.Upper(static_cast<double>(r.lo - shift), c1, s);
-        ++stats->bound_evals;
-      }
-      if (r.hi != r.lo && !Excluded(r.hi)) {
-        const double b2 = ctx.Upper(static_cast<double>(r.hi - shift), c1, s);
-        ++stats->bound_evals;
-        if (b2 > bnd) bnd = b2;
+      const Key hi = hi_of(j);
+      double bnd = kNoBound;
+      if (hi > keys[j]) {
+        const Key lo = keys[j] + 1;
+        const double c1 = c0 + static_cast<double>(j);
+        const double s = static_cast<double>(sal[j] + sa_off);
+        if (!Excluded(lo)) {
+          bnd = ctx.Upper(static_cast<double>(lo - shift), c1, s);
+          ++stats->bound_evals;
+        }
+        if (hi != lo && !Excluded(hi)) {
+          const double b2 = ctx.Upper(static_cast<double>(hi - shift), c1, s);
+          ++stats->bound_evals;
+          if (b2 > bnd) bnd = b2;
+        }
       }
       out[j] = bnd;
     }
@@ -1369,18 +1235,23 @@ struct LossLandscape::GapSource {
 
   void Exact(std::size_t g, std::int64_t j, ArgmaxFold* fold,
              ArgmaxStats* stats) const {
-    const TieredGaps::Tier& t = TierOf(g);
-    const TieredGaps::GapRec& r = Rec(g, j);
-    const Rank count_less = r.cnt + CountOffset(t);
-    const Int128 suffix = snap.agg.sum_k - (r.sum + SumOffset(t));
+    const KeyStore::Block& blk = Blk(g);
+    const std::size_t i = Index(g, j);
+    const Key hi = GapHi(g, i);
+    if (hi <= blk.keys[i]) return;  // An empty gap.
+    const Rank count_less =
+        blk.count_before + static_cast<Rank>(i) + CountOff();
+    const Int128 suffix =
+        static_cast<Int128>(blk.sa_local[i]) + SuffixOff(blk);
     auto offer = [&](Key kp) {
       if (Excluded(kp)) return;
       fold->Offer(kp, LossAfterInsertion(snap.agg, mom, kp, count_less,
                                          suffix));
       ++stats->exact_evals;
     };
-    offer(r.lo);
-    if (r.hi != r.lo) offer(r.hi);
+    const Key lo = blk.keys[i] + 1;
+    offer(lo);
+    if (hi != lo) offer(hi);
   }
 };
 
@@ -1399,7 +1270,7 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
 // aggregates and silently void the bit-identity the differential
 // suites pin (the exhaustive fallback keeps prune-vs-exhaustive
 // trivially identical there). It also keeps the bound kernels' int64
-// candidate shifts — and the removal SoA's int64 suffix sums, which
+// candidate shifts — and the key store's int64 suffix sums, which
 // stay below n*S — safe (n1*S < 2^63 implies S < 2^62). The removal
 // side's n1 = n-1 aggregates are strictly smaller, so one guard covers
 // both directions.
@@ -1420,8 +1291,8 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimal(
     ThreadPool* pool, const ArgmaxOptions& argmax, ArgmaxStats* stats) const {
   GapSnapshot snap;
   snap.agg = aggregates();
-  snap.lo = interior_only ? min_key_ + 1 : domain_.lo;
-  snap.hi = interior_only ? max_key_ - 1 : domain_.hi;
+  snap.lo = interior_only ? min_key() + 1 : domain_.lo;
+  snap.hi = interior_only ? max_key() - 1 : domain_.hi;
   return ScanGaps(snap, excluded, pool, argmax, stats);
 }
 
@@ -1437,14 +1308,14 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalWithoutEdge(
   if (edge == Edge::kMin) {
     snap.agg.RemoveSmallest(key);
     snap.lo = SecondMinKey() + 1;
-    snap.hi = max_key_ - 1;
+    snap.hi = max_key() - 1;
     // Every candidate lies above the removed key, which its record
     // still counts; records below it count nothing to remove.
     snap.rank_adj = 1;
     snap.prefix_adj = static_cast<Int128>(key) - shift_;
   } else {
     snap.agg.RemoveLargest(key);
-    snap.lo = min_key_ + 1;
+    snap.lo = min_key() + 1;
     snap.hi = SecondMaxKey() - 1;
   }
   return ScanGaps(snap, excluded, /*pool=*/nullptr, argmax, stats);
@@ -1456,16 +1327,41 @@ Result<LossLandscape::Candidate> LossLandscape::ScanGaps(
   ArgmaxStats local;
   local.rounds = 1;
   const RankMoments mom = RankMoments::Of(snap.agg.n + 1);
-  const std::int64_t units = CollectGapGroups(snap.lo, snap.hi);
-  // Outside the magnitude guard the context's Int128 numerators could
-  // overflow; with no candidate there is nothing to bound.
-  const bool domain_ok = PruneDomainOk();
-  const BoundCtx ctx = domain_ok ? GapBoundCtx(snap, mom) : BoundCtx{};
-  const ScanMode mode = PickScanMode(
-      argmax, domain_ok && (ctx.usable || units == 0), &local);
-  const ArgmaxFold fold = RunArgmax(
-      GapSource{*this, snap, argmax_gap_groups_, ctx, mom, excluded, units},
-      mode, pool, argmax.fan_out_units, &local);
+  ArgmaxFold fold;
+  // One gap's candidates, exactly, from its record of the current keys.
+  auto offer_gap = [&](Key lo, Key hi, Rank count, Int128 prefix) {
+    const Rank count_less = count - snap.rank_adj;
+    const Int128 suffix = snap.agg.sum_k - (prefix - snap.prefix_adj);
+    for (const Key kp : {lo, hi}) {
+      if (excluded == nullptr || excluded->count(kp) == 0) {
+        fold.Offer(kp, LossAfterInsertion(snap.agg, mom, kp, count_less,
+                                          suffix));
+        ++local.exact_evals;
+      }
+      if (hi == lo) break;
+    }
+  };
+  if (!PruneDomainOk()) {
+    // Outside the magnitude guard the store keeps no int64 sums and the
+    // bound context's Int128 numerators could overflow: one exact walk.
+    if (argmax.prune) local.fallback_rounds = 1;
+    ForEachGapInRange(snap.lo, snap.hi, offer_gap);
+  } else {
+    const std::int64_t units = CollectGapGroups(snap.lo, snap.hi);
+    const BoundCtx ctx = GapBoundCtx(snap, mom);
+    // With no unit there is nothing to bound.
+    const ScanMode mode =
+        PickScanMode(argmax, ctx.usable || units == 0, &local);
+    fold = RunArgmax(
+        GapSource{*this, snap, argmax_gap_groups_, ctx, mom, excluded, units},
+        mode, pool, argmax.fan_out_units, &local);
+    // The gap below the smallest key lies in no block: it is scored
+    // exactly beside the skeleton.
+    if (snap.lo <= snap.hi && snap.lo < min_key()) {
+      if (mode == ScanMode::kTiered) ++local.invalidated_gaps;
+      offer_gap(snap.lo, std::min(snap.hi, min_key() - 1), 0, 0);
+    }
+  }
   if (stats != nullptr) stats->Add(local);
   if (!fold.have) {
     return Status::ResourceExhausted(
@@ -1475,27 +1371,27 @@ Result<LossLandscape::Candidate> LossLandscape::ScanGaps(
 }
 
 std::int64_t LossLandscape::CollectGapGroups(Key lo, Key hi) const {
-  // Each tier's in-range slice. The range ends at an occupied key or a
-  // domain edge, so it never clips a gap and membership is a whole-gap
-  // test; only the edge tiers have out-of-range gaps.
-  const std::vector<TieredGaps::Tier>& tiers = gaps_.tiers();
-  auto& groups = PrepareScratch(&argmax_gap_groups_, tiers.size());
+  // The units are the gaps after the keys k with lo - 1 <= k < hi: lo - 1
+  // and hi + 1 are stored keys or lie outside the domain, so the range
+  // never clips a gap, and only the two edge blocks are sliced. A slice
+  // with no gap holds no candidate and joins no group.
+  auto& groups = PrepareScratch(&argmax_gap_groups_, store_.block_count());
+  if (lo > hi) return 0;
+  const KeyStore::Pos first =
+      lo > domain_.lo ? store_.Locate(lo - 1) : KeyStore::Pos{};
+  const KeyStore::Pos end = store_.Locate(hi);
   std::int64_t units = 0;
-  for (std::size_t ti = lo <= hi ? gaps_.FirstTierNotBelow(lo) : tiers.size();
-       ti < tiers.size() && tiers[ti].lo <= hi; ++ti) {
-    const std::vector<TieredGaps::GapRec>& gs = tiers[ti].gaps;
-    std::size_t b = 0;
-    std::size_t e = gs.size();
-    // Only an edge tier reaches outside; the others' records stay
-    // untouched (cold at large n).
-    if (tiers[ti].lo < lo || tiers[ti].hi > hi) {
-      while (b < e && gs[b].hi < lo) ++b;
-      while (e > b && gs[e - 1].lo > hi) --e;
-    }
-    if (b < e) {
-      groups.push_back(GapGroup{ti, b, e});
-      units += static_cast<std::int64_t>(e - b);
-    }
+  for (std::size_t b = first.block; b <= end.block; ++b) {
+    const KeyStore::Block& blk = store_.block(b);
+    const std::size_t begin = b == first.block ? first.index : 0;
+    const std::size_t stop = b == end.block ? end.index : blk.keys.size();
+    if (begin >= stop) continue;
+    const bool whole = begin == 0 && stop == blk.keys.size();
+    const std::int64_t gaps =
+        whole ? blk.gaps : store_.CountGaps(b, begin, stop);
+    if (gaps == 0) continue;
+    groups.push_back(GapGroup{b, begin, stop, gaps});
+    units += static_cast<std::int64_t>(stop - begin);
   }
   return units;
 }
@@ -1508,8 +1404,8 @@ double LossLandscape::MaxShiftedMagnitude(
     if (x < 0) x = -x;
     if (x > m) m = x;
   };
-  widen(min_key_);
-  widen(max_key_);
+  widen(min_key());
+  widen(max_key());
   for (const Key k : extra) widen(k);
   return static_cast<double>(m) * (1 + Gamma(1));
 }
@@ -1519,52 +1415,25 @@ LossLandscape::BoundCtx LossLandscape::GapBoundCtx(
   const std::vector<GapGroup>& groups = argmax_gap_groups_;
   if (groups.empty()) return BoundCtx{};
   const GapGroup& mid = groups[groups.size() / 2];
-  const TieredGaps::Tier& t = gaps_.tiers()[mid.tier];
-  const TieredGaps::GapRec& r = t.gaps[mid.begin];
+  const KeyStore::Block& blk = store_.block(mid.block);
   BoundCtx::Ref ref;
-  ref.x = static_cast<Int128>(r.lo) - shift_;
-  ref.c = r.cnt + t.delta_cnt - snap.rank_adj + 1;
-  ref.s = snap.agg.sum_k - (r.sum + t.delta_sum - snap.prefix_adj);
+  ref.x = static_cast<Int128>(blk.keys[mid.begin]) + 1 - shift_;
+  ref.c = blk.count_before + static_cast<Rank>(mid.begin) + 2 -
+          snap.rank_adj;
+  ref.s = static_cast<Int128>(blk.sa_local[mid.begin]) + blk.sum_after +
+          snap.agg.sum_k + snap.prefix_adj - sum_k_;
   return BoundCtx::Make(+1, snap.agg, mom, ref,
                         MaxShiftedMagnitude({snap.lo, snap.hi}));
 }
 
 LossLandscape::BoundCtx LossLandscape::KeyBoundCtx(
     const RankMoments& mom) const {
-  const RemovalSoa::Block& mid =
-      rem_soa_.block(rem_soa_.block_count() / 2);
+  const KeyStore::Block& mid = store_.block(store_.block_count() / 2);
   BoundCtx::Ref ref;
   ref.x = static_cast<Int128>(mid.keys.front()) - shift_;
   ref.c = mid.count_before + 1;
   ref.s = static_cast<Int128>(mid.sa_local.front()) + mid.sum_after;
   return BoundCtx::Make(-1, aggregates(), mom, ref, MaxShiftedMagnitude({}));
-}
-
-void LossLandscape::EnsureRemovalSoa() const {
-  const bool want_sa = PruneDomainOk();
-  if (rem_soa_.built() && (rem_soa_.with_sa() || !want_sa)) return;
-  rem_soa_.StartBuild(n_, want_sa, shift_);
-  // Current keys = (base minus tombstones) merged with the inserted
-  // overlay; both inputs are sorted and removed_ is a subsequence of
-  // base_keys_.
-  std::size_t bi = 0;
-  std::size_t ri = 0;
-  std::size_t ii = 0;
-  while (bi < base_keys_.size() || ii < inserted_.size()) {
-    if (bi < base_keys_.size() && ri < removed_.size() &&
-        base_keys_[bi] == removed_[ri]) {
-      ++bi;
-      ++ri;
-      continue;
-    }
-    if (ii >= inserted_.size() ||
-        (bi < base_keys_.size() && base_keys_[bi] < inserted_[ii])) {
-      rem_soa_.AppendSorted(base_keys_[bi++]);
-    } else {
-      rem_soa_.AppendSorted(inserted_[ii++]);
-    }
-  }
-  rem_soa_.FinishBuild();
 }
 
 long double LossLandscape::LossWithoutKey(Key key, Int128 rank, Int128 sa,
@@ -1574,9 +1443,9 @@ long double LossLandscape::LossWithoutKey(Key key, Int128 rank, Int128 sa,
 }
 
 /// Removal candidates. A unit is one stored key (skipped when outside
-/// `allowed`), a group one block of the removal SoA: the commit
-/// structure doubles as the bound tier structure, so the next round's
-/// block bounds see every commit exactly.
+/// `allowed`), a group one block of the key store: the commit structure
+/// doubles as the bound group structure, so the next round's block
+/// bounds see every commit exactly.
 struct LossLandscape::KeySource {
   static constexpr std::size_t kSoaLanes = 0;  // Blocks are SoA already.
 
@@ -1586,46 +1455,52 @@ struct LossLandscape::KeySource {
   const std::unordered_set<Key>* allowed;
   std::int64_t total;  // Stored keys.
 
-  const RemovalSoa::Block& block(std::size_t b) const {
-    return ll.rem_soa_.block(b);
+  const KeyStore::Block& block(std::size_t b) const {
+    return ll.store_.block(b);
   }
-  std::size_t num_groups() const { return ll.rem_soa_.block_count(); }
+  std::size_t num_groups() const { return ll.store_.block_count(); }
   std::int64_t Units(std::size_t b) const {
     return static_cast<std::int64_t>(block(b).keys.size());
   }
+  /// Every stored key is a candidate.
+  std::int64_t Gaps(std::size_t b) const { return Units(b); }
+  std::int64_t Gaps(std::size_t, std::int64_t begin, std::int64_t end) const {
+    return end - begin;
+  }
+  bool Gapless(std::size_t, std::int64_t, std::int64_t) const { return false; }
   std::size_t MaxUnits() const {
-    return static_cast<std::size_t>(ll.rem_soa_.block_cap());
+    return static_cast<std::size_t>(ll.store_.block_cap());
   }
   bool Allowed(Key k) const {
     return allowed == nullptr || allowed->count(k) != 0;
   }
 
   /// The chord bound (BoundCtx::UpperBlock) through the exact records
-  /// (x, rank, suffix) of keys \p begin and end - 1 of block \p b; the
-  /// last key's global suffix is sum_after itself, since
-  /// sa_local.back() == 0. It ignores `allowed`: an admissible
-  /// over-estimate, the per-key bounds enforce it.
+  /// (x, rank, suffix) of keys \p begin and end - 1 of block \p b. It
+  /// ignores `allowed`: an admissible over-estimate, the per-key bounds
+  /// enforce it.
   double SubBound(std::size_t b, std::int64_t begin, std::int64_t end) const {
-    const RemovalSoa::Block& blk = block(b);
+    const KeyStore::Block& blk = block(b);
     const auto first = static_cast<std::size_t>(begin);
     const auto last = static_cast<std::size_t>(end - 1);
     const Key shift = ll.shift_;
     const double x_first = static_cast<double>(blk.keys[first] - shift);
     const double r_first = static_cast<double>(blk.count_before + begin + 1);
-    const double sa_first =
-        static_cast<double>(blk.sa_local[first] + blk.sum_after);
+    const double sa_first = static_cast<double>(
+        static_cast<Int128>(blk.sa_local[first]) + blk.sum_after);
     if (first == last) return ctx.Upper(x_first, r_first, sa_first);
     return ctx.UpperBlock(
         x_first, r_first, sa_first,
         static_cast<double>(blk.keys[last] - shift),
         static_cast<double>(blk.count_before + end),
-        static_cast<double>(blk.sa_local[last] + blk.sum_after));
+        static_cast<double>(static_cast<Int128>(blk.sa_local[last]) +
+                            blk.sum_after));
   }
   double GroupBound(std::size_t b) const { return SubBound(b, 0, Units(b)); }
 
   /// Starts loading the end records GroupBound(b) reads.
   void Prefetch(std::size_t b) const {
-    const RemovalSoa::Block& blk = block(b);
+    const KeyStore::Block& blk = block(b);
     __builtin_prefetch(blk.keys.data());
     __builtin_prefetch(&blk.keys.back());
     __builtin_prefetch(blk.sa_local.data());
@@ -1637,12 +1512,13 @@ struct LossLandscape::KeySource {
   /// the allowed-free loop auto-vectorizes.
   void UnitBounds(std::size_t b, std::int64_t begin, std::int64_t end,
                   double* out, double* /*soa*/, ArgmaxStats* stats) const {
-    const RemovalSoa::Block& blk = block(b);
+    const KeyStore::Block& blk = block(b);
     const Key* keys = blk.keys.data() + begin;
     const std::int64_t* sal = blk.sa_local.data() + begin;
     const auto m = static_cast<std::size_t>(end - begin);
     const double rank0 = static_cast<double>(blk.count_before + begin + 1);
-    const std::int64_t sa_off = blk.sum_after;
+    // Inside the magnitude guard every suffix fits int64.
+    const auto sa_off = static_cast<std::int64_t>(blk.sum_after);
     const Key shift = ll.shift_;
     if (allowed == nullptr) {
       const BoundCtx c = ctx;  // Local copy: no aliasing.
@@ -1668,12 +1544,14 @@ struct LossLandscape::KeySource {
 
   void Exact(std::size_t b, std::int64_t j, ArgmaxFold* fold,
              ArgmaxStats* stats) const {
-    const RemovalSoa::Block& blk = block(b);
+    const KeyStore::Block& blk = block(b);
     const auto jj = static_cast<std::size_t>(j);
     const Key kp = blk.keys[jj];
     if (!Allowed(kp)) return;
-    fold->Offer(kp, ll.LossWithoutKey(kp, blk.count_before + j + 1,
-                                      blk.sa_local[jj] + blk.sum_after, mom));
+    fold->Offer(kp, ll.LossWithoutKey(
+                        kp, blk.count_before + j + 1,
+                        static_cast<Int128>(blk.sa_local[jj]) + blk.sum_after,
+                        mom));
     ++stats->exact_evals;
   }
 };
@@ -1688,18 +1566,16 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
     return Status::FailedPrecondition(
         "removal argmax needs at least three stored keys");
   }
-  EnsureRemovalSoa();
-
   ArgmaxFold fold;
-  if (!rem_soa_.with_sa()) {
+  if (!store_.with_sa()) {
     // Wide-domain fallback: exact Int128 reverse block walk
     // accumulating the suffix key-sums on the fly (the
     // order-independent tie rule makes the scan direction immaterial).
     if (argmax.prune) local.fallback_rounds = 1;
     const RankMoments mom = RankMoments::Of(n_ - 1);
     Int128 sa = 0;
-    for (std::size_t b = rem_soa_.block_count(); b > 0; --b) {
-      const RemovalSoa::Block& blk = rem_soa_.block(b - 1);
+    for (std::size_t b = store_.block_count(); b > 0; --b) {
+      const KeyStore::Block& blk = store_.block(b - 1);
       for (std::size_t j = blk.keys.size(); j > 0; --j) {
         const Key kp = blk.keys[j - 1];
         if (allowed == nullptr || allowed->count(kp) != 0) {
@@ -1716,8 +1592,8 @@ Result<LossLandscape::Candidate> LossLandscape::FindOptimalRemoval(
     const RankMoments mom = RankMoments::Of(n_ - 1);
     const BoundCtx ctx = KeyBoundCtx(mom);
     const ScanMode mode = PickScanMode(argmax, ctx.usable, &local);
-    fold = RunArgmax(KeySource{*this, ctx, mom, allowed, rem_soa_.size()},
-                     mode, pool, argmax.fan_out_units, &local);
+    fold = RunArgmax(KeySource{*this, ctx, mom, allowed, n_}, mode, pool,
+                     argmax.fan_out_units, &local);
   }
   if (stats != nullptr) stats->Add(local);
   if (!fold.have) {
@@ -1740,7 +1616,7 @@ Status LossLandscape::AuditArgmaxBoundsForTesting(
     for (std::size_t g = 0; g < src.num_groups(); ++g) {
       const std::int64_t m = src.Units(g);
       const double group_bound = src.GroupBound(g);
-      const std::int64_t count = SubBlockCount(m);
+      const std::int64_t count = SubBlocksOf(src, g);
       for (std::int64_t sb = 0; sb < count; ++sb) {
         const std::int64_t begin = sb * kSubBlockUnits;
         subs[static_cast<std::size_t>(sb)] =
@@ -1750,6 +1626,7 @@ Status LossLandscape::AuditArgmaxBoundsForTesting(
       for (std::int64_t j = 0; j < m; ++j) {
         ArgmaxFold fold;
         src.Exact(g, j, &fold, &stats);
+        if (!fold.have) continue;  // An empty gap holds no candidate.
         BoundAuditRow row;
         row.key = fold.best.key;
         row.exact = fold.best.loss;
@@ -1767,8 +1644,7 @@ Status LossLandscape::AuditArgmaxBoundsForTesting(
       return Status::FailedPrecondition(
           "removal argmax needs at least three stored keys");
     }
-    EnsureRemovalSoa();
-    if (!rem_soa_.with_sa()) {
+    if (!store_.with_sa()) {
       return Status::FailedPrecondition("removal bounds not admissible");
     }
     const RankMoments mom = RankMoments::Of(n_ - 1);
@@ -1776,13 +1652,13 @@ Status LossLandscape::AuditArgmaxBoundsForTesting(
     if (!ctx.usable) {
       return Status::FailedPrecondition("removal bounds not admissible");
     }
-    audit(KeySource{*this, ctx, mom, nullptr, rem_soa_.size()});
+    audit(KeySource{*this, ctx, mom, nullptr, n_});
     return Status::OK();
   }
   GapSnapshot snap;
   snap.agg = aggregates();
-  snap.lo = min_key_ + 1;
-  snap.hi = max_key_ - 1;
+  snap.lo = min_key() + 1;
+  snap.hi = max_key() - 1;
   if (!PruneDomainOk()) {
     return Status::FailedPrecondition("insertion bounds not admissible");
   }
@@ -1797,22 +1673,15 @@ Status LossLandscape::AuditArgmaxBoundsForTesting(
 }
 
 Key LossLandscape::SecondMinKey() const {
-  // The next occupied key above the minimum: min + 1 itself when
-  // occupied, else one past the gap containing it. Overlay-agnostic, so
-  // it stays exact under removals.
-  const Key c = min_key_ + 1;
-  std::size_t ti = 0;
-  std::size_t gi = 0;
-  if (!gaps_.Locate(c, &ti, &gi)) return c;
-  return gaps_.tiers()[ti].gaps[gi].hi + 1;
+  const std::vector<Key>& first = store_.block(0).keys;
+  return first.size() > 1 ? first[1] : store_.block(1).keys.front();
 }
 
 Key LossLandscape::SecondMaxKey() const {
-  const Key c = max_key_ - 1;
-  std::size_t ti = 0;
-  std::size_t gi = 0;
-  if (!gaps_.Locate(c, &ti, &gi)) return c;
-  return gaps_.tiers()[ti].gaps[gi].lo - 1;
+  const std::size_t last = store_.block_count() - 1;
+  const std::vector<Key>& keys = store_.block(last).keys;
+  return keys.size() > 1 ? keys[keys.size() - 2]
+                         : store_.block(last - 1).keys.back();
 }
 
 LossLandscape::Aggregates LossLandscape::aggregates() const {

@@ -9,25 +9,24 @@
 // the full-domain sweeps of Fig. 3.
 //
 // Unlike the original rebuild-per-round engine, this landscape is
-// *incrementally updatable*: InsertKey commits a poisoning key in
-// O(log n) aggregate work (plus an O(p) sorted-overlay insert, p =
-// number of inserted keys), after which every query reflects the
-// enlarged keyset exactly — bit-identical to a fresh landscape built on
-// the combined keys. The greedy multi-point attacks exploit this to
-// skip the per-round KeySet/landscape reconstruction entirely.
+// *incrementally updatable*: InsertKey and RemoveKey commit an edit in
+// O(sqrt(n)) work, after which every query reflects the edited keyset
+// exactly — bit-identical to a fresh landscape built on those keys.
+// The greedy attacks exploit this to skip the per-round
+// KeySet/landscape reconstruction entirely.
 //
 // Invariants of the incremental representation:
-//  - base_keys_ (the Create-time keys) never change; their prefix sums
-//    are a static array.
-//  - inserted keys live in a sorted overlay plus a Fenwick tree indexed
-//    by *base slot* (the base-key gap an inserted key falls into), so
-//    prefix key-sums at any candidate stay O(log n).
-//  - gaps_ is the maximal-unoccupied-interval decomposition of the
-//    domain, stored as a *tiered* (two-level) layout (TieredGaps): an
-//    insertion splits exactly the gap containing it with an O(sqrt(G))
-//    splice, and each gap record carries the exact count/prefix-sum of
-//    the current keys below it (tier-relative, with lazy per-tier
-//    deltas), so candidate scans read exact ranks in O(1) per gap.
+//  - the current keys live in one KeyStore: sorted ~sqrt(n)-key blocks
+//    with block-local int64 suffix sums (kept while PruneDomainOk()
+//    holds) and a directory of exact per-block ranks (count_before) and
+//    Int128 suffix sums (sum_after). A commit touches one block plus
+//    one directory entry per block.
+//  - a maximal gap is the space after a stored key, up to the next key
+//    or the domain's end, plus one leading gap below the smallest key.
+//    A gap's record (keys below it, their shifted sum) is the record of
+//    the key before it, read in O(1) from the store.
+//  - prefix statistics at any key are a directory search plus one
+//    block; the smallest and largest keys are the store's ends.
 //  - all aggregate arithmetic is exact 128-bit; shifting keys by the
 //    smallest Create-time key keeps magnitudes safe, and the final
 //    Theorem 1 ratio is shift-invariant bit-for-bit because the
@@ -38,8 +37,9 @@
 // (FindOptimal, and FindOptimalWithoutEdge, the RMI exchange
 // simulation's insertion with one boundary key taken out) and the
 // removal that does (FindOptimalRemoval) — run one branch-and-bound
-// skeleton over a *candidate source*: gap tiers for insertion, key
-// blocks of the removal SoA for removal. A source supplies admissible
+// skeleton over a *candidate source* read off the key store's blocks:
+// the gaps after the keys of a block for insertion, the keys of a block
+// for removal. A source supplies admissible
 // double-precision bounds at three levels — per group, per sub-block of
 // 64 units, per unit — and the exact evaluation; the skeleton seeds a
 // running best, skips every group, sub-block or unit whose bound is
@@ -57,27 +57,29 @@
 // double, and their rounding is bounded by Higham's gamma_k terms on
 // the magnitudes of those changes, not of VarY (see BoundCtx).
 //
-// The pruned scan is *tiered*: instead of re-scoring all O(G) gaps
+// The pruned scan is *tiered*: instead of re-scoring all O(n) gaps
 // every round, it first scores one admissible range bound per
-// ~sqrt(G)-gap tier, computed in O(1) from
-// the tier's key range and its first gap's exact (count, prefix-sum)
-// record — state the tiered gap structure maintains incrementally
-// across InsertKey splices. The range bound exploits two
+// ~sqrt(n)-key block, computed in O(1) from the block's key range and
+// its first key's exact (count, suffix-sum) record — state the key
+// store maintains incrementally across commits. A block (or 64-key
+// sub-block) with no gap is skipped in O(1) with no bound at all: its
+// keys and the key after it are consecutive exactly when their key
+// span equals their index span. The range bound exploits two
 // structural facts: along the candidate axis the covariance numerator
 // is piecewise linear with non-decreasing slopes (n1*c1 - sumY grows as
 // candidates pass keys) and upward jumps at key crossings, so it lies
 // above its left-endpoint tangent; and VarX is a gap-independent convex
 // parabola, so Cov^2/VarX under the tangent takes its range minimum at
-// an endpoint. Inside a tier whose bound reaches the running best the
-// same range bound is taken per 64-gap sub-block, and only surviving
-// sub-blocks are re-scored per gap, so per-round bound work is
-// O(sqrt(G) + survivors).
+// an endpoint. Inside a block with more than 64 gaps whose bound
+// reaches the running best the same range bound is taken per 64-key
+// sub-block, and only surviving sub-blocks are re-scored per gap, so
+// per-round bound work is O(sqrt(n) + survivors).
 // (Design notes from measurement: bounds persisted across rounds with
 // forward-drift margins are useless here — any per-round drift
 // allowance inflates the bound by more than the whole gap-to-gap loss
-// spread — and plain interval arithmetic over a tier's input box
-// decorrelates Cov from VarX badly enough to never skip a tier; the
-// tangent form is what makes a tier-granular bound tight. A blanket
+// spread — and plain interval arithmetic over a group's input box
+// decorrelates Cov from VarX badly enough to never skip a group; the
+// tangent form is what makes a group-granular bound tight. A blanket
 // relative margin on the full magnitudes, as this engine used before
 // the reference-point form, tracks VarY ~ n^4 instead of the loss
 // spread: at n = 1M uniform keys it kept ~2,200 exact re-checks a round
@@ -94,9 +96,7 @@
 #include <utility>
 #include <vector>
 
-#include "attack/gap_tiers.h"
-#include "attack/removal_soa.h"
-#include "common/fenwick.h"
+#include "attack/key_store.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "data/keyset.h"
@@ -107,7 +107,7 @@ class ThreadPool;
 
 /// \brief Exact O(1) evaluator of the post-insertion minimized loss
 /// L(kp) = min_{w,b} MSE(K ∪ {kp}) for any candidate poisoning key,
-/// with O(log n) incremental commits via InsertKey.
+/// with O(sqrt(n)) incremental commits via InsertKey and RemoveKey.
 ///
 /// The compound effect of CDF poisoning (every legitimate key above kp
 /// has its rank shifted by one) is folded into the aggregates: with
@@ -123,14 +123,11 @@ class LossLandscape {
   /// \brief Builds the landscape over \p keyset. Requires >= 1 key.
   static Result<LossLandscape> Create(const KeySet& keyset);
 
-  /// \brief Parallel build: with \p pool non-null and running >1
-  /// worker, the base-key prefix/aggregate pass and the gap-record
-  /// emission fan out in fixed index chunks (a two-pass exclusive scan
-  /// stitches the per-chunk partials). All aggregate arithmetic is
-  /// exact integer and therefore associative, so the resulting
-  /// landscape is bit-identical to the serial build for every thread
-  /// count — asserted by landscape_parallel_create_test. pool ==
-  /// nullptr (or an inline pool) runs the serial path unchanged.
+  /// \brief Parallel build: the key store is built one block per task
+  /// on \p pool (inline when it is null or runs one worker). The blocks
+  /// depend only on the key count, and their exact integer partials
+  /// fold serially, so the landscape is bit-identical for every thread
+  /// count — asserted by landscape_parallel_create_test.
   static Result<LossLandscape> Create(const KeySet& keyset,
                                       ThreadPool* pool);
 
@@ -145,8 +142,8 @@ class LossLandscape {
   const KeyDomain& domain() const { return domain_; }
 
   /// \brief Smallest / largest current key.
-  Key min_key() const { return min_key_; }
-  Key max_key() const { return max_key_; }
+  Key min_key() const { return store_.front(); }
+  Key max_key() const { return store_.back(); }
 
   /// \brief Second-smallest / second-largest current key. Requires
   /// size() >= 2. They bound FindOptimalWithoutEdge's candidate range.
@@ -154,30 +151,24 @@ class LossLandscape {
   Key SecondMaxKey() const;
 
   /// \brief Commits poisoning key \p kp into the landscape: all
-  /// aggregates, the gap decomposition, and BaseLoss() now describe the
+  /// aggregates, the key store, and BaseLoss() now describe the
   /// enlarged keyset, exactly as if the landscape had been rebuilt.
-  /// Re-inserting a previously removed key cancels its removal overlay
-  /// entry instead of growing the inserted overlay.
   ///
   /// Fails with OutOfRange outside the domain and InvalidArgument when
-  /// kp is occupied. Cost O(log n) aggregate work + O(p) overlay insert
-  /// + O(sqrt(G)) tiered gap splice (see splice_moves()).
+  /// kp is occupied. Cost O(sqrt(n)): one block of the key store plus
+  /// its directory (see splice_moves()).
   Status InsertKey(Key kp);
 
   /// \brief The exact dual of InsertKey: removes the *current* key
-  /// \p kp (base or inserted), after which every aggregate, the gap
-  /// decomposition (adjacent gaps merge; see TieredGaps::MergeAt), the
-  /// min/max bookkeeping and BaseLoss() describe the shrunken keyset
-  /// bit-identically to a fresh landscape built without kp. Removed
-  /// base keys live in a tombstone overlay (sorted vector + Fenwick
-  /// sums by base index) threaded through PrefixAt, so the Create-time
-  /// key array stays immutable.
+  /// \p kp, after which every aggregate, the gaps (the two beside kp
+  /// merge), the smallest and largest keys and BaseLoss() describe the
+  /// shrunken keyset bit-identically to a fresh landscape built
+  /// without kp.
   ///
   /// Fails with OutOfRange outside the domain, InvalidArgument when kp
   /// is not currently stored, and FailedPrecondition when fewer than
   /// two keys would remain (the regression needs two points). Cost
-  /// O(log n) aggregate work + O(p + r) overlay work + O(sqrt(G))
-  /// tiered gap merge (see splice_moves()).
+  /// O(sqrt(n)), as for InsertKey.
   Status RemoveKey(Key kp);
 
   /// \brief RemoveKey(from) followed by InsertKey(to) — the §V
@@ -214,11 +205,11 @@ class LossLandscape {
   /// \brief Knobs for the pruned argmax (see FindOptimal).
   struct ArgmaxOptions {
     /// Run the branch-and-bound tiered scan: one admissible bound per
-    /// group (gap tier or key block, O(1) from the incrementally
-    /// maintained state), one per 64-unit sub-block only inside groups
-    /// whose bound reaches the running best, per-unit bounds only inside
-    /// surviving sub-blocks, and exact re-checks only of the surviving
-    /// units — O(sqrt(G) + survivors) bound work per round.
+    /// group (a key-store block, O(1) from the incrementally maintained
+    /// state), one per 64-unit sub-block only inside groups whose bound
+    /// reaches the running best, per-unit bounds only inside surviving
+    /// sub-blocks, and exact re-checks only of the surviving units —
+    /// O(sqrt(n) + survivors) bound work per round.
     /// The selected Candidate is bit-identical to the exhaustive scan
     /// (the bounds provably dominate the exact loss; ties re-check
     /// every contender and break toward the smaller key, the
@@ -231,18 +222,20 @@ class LossLandscape {
     /// group whose bound reaches the seed's loss, or every unit when the
     /// scan is exhaustive. A round with fewer runs the serial scan even
     /// with a pool, because splitting it costs more than it saves. 0
-    /// fans out every pooled round. Measured on a 4-vCPU host, the
-    /// default lies above the live work of tiered rounds at n <= 200k
-    /// (under ~5k units), which ran no faster on the pool, and below
-    /// that of tiered rounds at n = 1M (~29k) and n = 10M (~357k) and
-    /// of exhaustive rounds from 20k units, which ran 1.2-2.8x faster
-    /// when the host's cores were free.
+    /// fans out every pooled round. Measured on a 4-vCPU host with
+    /// groups of ~sqrt(n) gaps, the default lies above the live work of
+    /// tiered rounds at n <= 200k (under ~5k units), which ran no faster
+    /// on the pool, and below that of tiered rounds at n = 1M (~29k)
+    /// and n = 10M (~357k) and of exhaustive rounds from 20k units,
+    /// which ran 1.2-2.8x faster when the host's cores were free.
     std::int64_t fan_out_units = 16384;
   };
 
   /// \brief Evaluation-count counters accumulated across FindOptimal
-  /// and FindOptimalRemoval calls. A "gap" below is a candidate unit:
-  /// a gap for insertion, a stored key for removal. Counter values
+  /// and FindOptimalRemoval calls. A "gap" below is a unit that holds a
+  /// candidate: a non-empty gap for insertion (the unit after a stored
+  /// key whose successor is adjacent holds none and is never counted),
+  /// a stored key for removal. Counter values
   /// depend only on the chunk partition: one chunk for the serial scan,
   /// which a pooled round also runs unless its live work reaches the
   /// fan-out threshold, and otherwise fixed chunks of consecutive
@@ -252,13 +245,17 @@ class LossLandscape {
   /// only the returned Candidate is invariant across the two layouts.
   /// Coherence invariant of the tiered scan, asserted by the stateful
   /// property harness: per round, cached_bounds + invalidated_gaps
-  /// equals the number of units in the scanned range.
+  /// equals the number of gaps (insertion) or keys (removal) in the
+  /// scanned range.
   struct ArgmaxStats {
     std::int64_t rounds = 0;          ///< Argmax calls.
     std::int64_t exact_evals = 0;     ///< Exact Theorem 1 evaluations.
     std::int64_t bound_evals = 0;     ///< Double-precision bound scores
                                       ///< (per group, per sub-block of
-                                      ///< a surviving group, per unit).
+                                      ///< a surviving group, per
+                                      ///< candidate); a group or
+                                      ///< sub-block with no gap scores
+                                      ///< none.
     std::int64_t pruned_gaps = 0;     ///< Units never evaluated exactly.
     std::int64_t cached_bounds = 0;   ///< Units disposed of by their
                                       ///< group's bound alone (no
@@ -287,33 +284,39 @@ class LossLandscape {
   ///
   /// With \p pool non-null and running >1 worker, a round whose live
   /// work is large fans out (RunArgmax): the tiered scan first bounds
-  /// every tier and exact-checks one seed, whose loss is the incumbent;
-  /// the live gaps are those of every tier whose bound reaches it (every
-  /// gap when exhaustive). From \p argmax.fan_out_units live gaps the
-  /// scan runs on the pool in chunks of consecutive groups holding at
-  /// least kArgmaxChunkGaps gaps, each pruning against the incumbent; a
-  /// chunk whose every tier bound is below it never runs. Below that
+  /// every group and exact-checks one seed, whose loss is the
+  /// incumbent; the live units are those of every group whose bound
+  /// reaches it (every unit when exhaustive). From
+  /// \p argmax.fan_out_units live units the scan runs on the pool in
+  /// chunks of consecutive groups holding at least kArgmaxChunkGaps
+  /// units, each pruning against the incumbent; a chunk whose every
+  /// group bound is below it never runs. Below that
   /// the round is the serial scan. The chunk winners fold by the
   /// first-maximum-in-key-order rule, so the selected candidate is
   /// bit-identical for every thread count, and pooled exact work stays
   /// close to the serial scan's (greedy_differential_test).
   ///
-  /// The scan is the argmax skeleton over the gap source: a unit is a
-  /// gap, offered at its non-excluded endpoints; a group is the
-  /// in-range part of one tier. With \p argmax.prune (the default) it
-  /// runs *tiered*: one range bound per tier (a covariance left-tangent over
-  /// the keys of its in-range gaps), a seed at the best gap bound of the
-  /// tier with the highest range bound, then a key-ordered sweep
-  /// that skips whole tiers whose range bound is below the best, bounds
-  /// the surviving tiers per 64-gap sub-block (the same range bound from
-  /// the sub-block's first gap), re-scores only surviving sub-blocks per
-  /// gap, and exits once every remaining tier bound is below the best.
-  /// Range bounds ignore \p excluded (an excluded endpoint only makes
-  /// them admissible over-estimates; the per-gap bounds skip excluded
-  /// endpoints exactly). Whenever the bound context is not
-  /// provably admissible the call falls back to the exhaustive scan,
-  /// so the result is bit-identical either way (argmax_pruning_test,
-  /// the stateful property harness). \p stats, when non-null, is
+  /// The scan is the argmax skeleton over the gap source: a unit is the
+  /// gap after one stored key (up to the next key, or the domain's
+  /// end), offered at its non-excluded endpoints; a group is the
+  /// in-range part of one key-store block. The gap below the smallest
+  /// key, when the range reaches it, is evaluated exactly beside the
+  /// skeleton. With \p argmax.prune (the default) it runs *tiered*: one
+  /// range bound per block (a covariance left-tangent from its first
+  /// unit's record), a seed at the best gap bound of the block with the
+  /// highest range bound, then a key-ordered sweep that skips whole
+  /// blocks whose range bound is below the best, bounds the surviving
+  /// blocks of more than 64 gaps per 64-key sub-block (the same range
+  /// bound from the sub-block's first unit), re-scores only surviving
+  /// sub-blocks per gap, and exits once every remaining block bound is
+  /// below the best. A block or sub-block with no gap is skipped in
+  /// O(1). Range bounds ignore \p excluded (an excluded endpoint only
+  /// makes them admissible over-estimates; the per-gap bounds skip
+  /// excluded endpoints exactly). Outside PruneDomainOk() the call runs
+  /// one exact Int128 walk over the store instead, and where the bound
+  /// context is not provably admissible the exhaustive scan, so the
+  /// result is bit-identical either way (argmax_pruning_test, the
+  /// stateful property harness). \p stats, when non-null, is
   /// accumulated into, never reset.
   ///
   /// Scratch note: the bound buffers are engine-owned and reused across
@@ -351,7 +354,8 @@ class LossLandscape {
   /// one key fewer and \p key's shifted value less above a removed
   /// minimum (a removed maximum lies above every candidate). Every
   /// bound starts at an in-range record, above a removed minimum. With
-  /// \p argmax.prune off it is the exhaustive scan. Results are
+  /// \p argmax.prune off it is the exhaustive scan, and outside
+  /// PruneDomainOk() the exact walk. Results are
   /// bit-identical either way (argmax_pruning_test checks both against
   /// a landscape rebuilt without \p key).
   ///
@@ -371,24 +375,23 @@ class LossLandscape {
   /// that set are candidates (the adversary's deletable records).
   ///
   /// The same argmax skeleton as FindOptimal over the key source: a
-  /// unit is a stored key, a group one block of a lazily built,
-  /// incrementally maintained *block-local* structure-of-arrays view of
-  /// the current keys (~sqrt(n)-key blocks of sorted keys + block-local
-  /// int64 suffix key-sums, with tier-relative rank/suffix directory
-  /// scalars — RemovalSoa). No per-round landscape reconstruction, and
-  /// O(sqrt(n)) maintenance per commit. Per-key bounds are the removal
+  /// unit is a stored key, a group one block of the key store
+  /// (~sqrt(n)-key blocks of sorted keys + block-local int64 suffix
+  /// key-sums, with a rank/suffix directory). No per-round landscape
+  /// reconstruction, and O(sqrt(n)) maintenance per commit. Per-key
+  /// bounds are the removal
   /// dual of the insertion bound (the same reference-point expansion
   /// with the opposite sign), computed by a batched auto-vectorizable
   /// kernel over the block arrays; the tiered scan's group bound is a
   /// chord per block, and per 64-key run inside a surviving block (the
   /// covariance is concave piecewise-linear along the stored keys, so
   /// the chord through a run's exact end records minorizes it).
-  /// The commit structure and the bound tier structure are the same
-  /// blocks, so the next round's chords see every commit exactly.
+  /// The commit structure and the bound groups are the same blocks, so
+  /// the next round's chords see every commit exactly.
   /// Results are bit-identical to an index-ordered exhaustive scan
   /// (ties break toward the smaller key) for every prune and thread
   /// setting; whenever the bound arithmetic is not provably admissible
-  /// (wide domains) the round falls back to an exact Int128 scan.
+  /// (wide domains) the round falls back to an exact Int128 walk.
   /// Counter contract of the tiered scan: cached_bounds +
   /// invalidated_gaps == candidates in the scan.
   ///
@@ -406,20 +409,25 @@ class LossLandscape {
   /// property.
   std::int64_t argmax_scratch_reallocs() const { return scratch_reallocs_; }
 
-  /// \name Removal-SoA maintenance telemetry: cumulative slots touched
-  /// by InsertKey/RemoveKey commits into the block-local candidate
-  /// structure, the commit count, and the current block geometry. Per
-  /// commit the touched-slot delta is O(sqrt(n)) by construction —
-  /// the n=10M bench gate asserts the measured growth from n=100k.
-  /// All zero until a removal argmax materializes the SoA.
+  /// \name Key-store maintenance telemetry: cumulative slots touched
+  /// by InsertKey/RemoveKey commits (block array moves, directory
+  /// updates, rebalance copies), the commit count, and the block
+  /// geometry. Per commit the touched-slot delta is O(sqrt(n)) by
+  /// construction — the n=10M bench gate asserts the measured growth
+  /// from n=100k, and the stateful property harness bounds each commit
+  /// by the block cap. splice_moves() and removal_commit_touched_slots()
+  /// both read the one touched-slot counter.
   /// @{
+  std::int64_t splice_moves() const { return store_.touched_slots(); }
   std::int64_t removal_commit_touched_slots() const {
-    return rem_soa_.touched_slots();
+    return store_.touched_slots();
   }
-  std::int64_t removal_commits() const { return rem_soa_.commits(); }
-  std::int64_t removal_block_count() const {
-    return static_cast<std::int64_t>(rem_soa_.block_count());
+  std::int64_t removal_commits() const { return store_.commits(); }
+  std::int64_t block_count() const {
+    return static_cast<std::int64_t>(store_.block_count());
   }
+  /// Max keys per block before a block splits.
+  std::int64_t block_cap() const { return store_.block_cap(); }
   /// @}
 
   /// \brief Test-only scratch canary: fills every engine-owned argmax
@@ -455,17 +463,11 @@ class LossLandscape {
       bool removal, const std::function<void(const BoundAuditRow&)>& visit)
       const;
 
-  /// \brief Gap records / tier-directory entries moved by InsertKey
-  /// splices, cumulative — O(sqrt(G)) per insert by construction
-  /// (tiered layout), which the stateful property harness asserts.
-  std::int64_t splice_moves() const { return gaps_.splice_moves(); }
-
-  /// \brief Max gaps per tier before a tier splits (the splice-work
-  /// scale the property harness bounds against).
-  std::int64_t gap_tier_cap() const { return gaps_.tier_cap(); }
-
   /// \brief Current number of maximal gaps over the whole domain.
-  std::int64_t gap_count() const { return gaps_.size(); }
+  /// O(sqrt(n)).
+  std::int64_t gap_count() const {
+    return (min_key() > domain_.lo ? 1 : 0) + store_.gap_count();
+  }
 
   /// \brief Exact prefix statistics over the current keys strictly
   /// below \p kp. prefix_sum is over shifted keys (k - shift()).
@@ -520,27 +522,71 @@ class LossLandscape {
   /// hi_bound] in increasing key order as f(gap_lo, gap_hi, count_less,
   /// prefix_sum), where count_less / prefix_sum describe the current
   /// keys strictly below gap_lo (identical for every candidate inside
-  /// the gap, since gaps contain no keys). O(1) per visited gap.
+  /// the gap, since gaps contain no keys). One exact Int128 walk over
+  /// the stored keys from the last one below lo_bound: O(sqrt(n)) to
+  /// start, then O(1) per key passed.
   template <typename F>
   void ForEachGapInRange(Key lo_bound, Key hi_bound, F&& f) const {
-    gaps_.ForEachInRange(lo_bound, hi_bound, std::forward<F>(f));
+    if (lo_bound < domain_.lo) lo_bound = domain_.lo;
+    if (hi_bound > domain_.hi) hi_bound = domain_.hi;
+    if (lo_bound > hi_bound) return;
+    if (lo_bound < min_key()) {
+      f(lo_bound, hi_bound < min_key() ? hi_bound : min_key() - 1, Rank{0},
+        Int128{0});
+    }
+    // Start at the last key below lo_bound (the first key when none
+    // is), with the count and shifted sum of the keys up to it.
+    KeyStore::Pos p = store_.Locate(lo_bound);
+    PrefixStats at = PrefixAt(p);
+    if (p.index > 0) {
+      --p.index;
+    } else if (p.block > 0) {
+      --p.block;
+      p.index = store_.block(p.block).keys.size() - 1;
+    } else {
+      at.count_less = 1;
+      at.prefix_sum = static_cast<Int128>(min_key()) - shift_;
+    }
+    bool start = true;
+    for (std::size_t b = p.block; b < store_.block_count(); ++b) {
+      const std::vector<Key>& keys = store_.block(b).keys;
+      for (std::size_t i = b == p.block ? p.index : 0; i < keys.size(); ++i) {
+        if (!start) {
+          ++at.count_less;
+          at.prefix_sum += static_cast<Int128>(keys[i]) - shift_;
+        }
+        start = false;
+        if (keys[i] >= hi_bound) return;
+        const Key gap_hi = store_.GapHi(b, i);
+        if (gap_hi <= keys[i] || gap_hi < lo_bound) continue;
+        const Key lo = keys[i] + 1 < lo_bound ? lo_bound : keys[i] + 1;
+        f(lo, gap_hi > hi_bound ? hi_bound : gap_hi, at.count_less,
+          at.prefix_sum);
+      }
+    }
   }
 
   /// \brief ForEachGapInRange over the standard candidate range: the
   /// interior (min, max) of the current keys, or the whole domain.
   template <typename F>
   void ForEachGap(bool interior_only, F&& f) const {
-    const Key lo = interior_only ? min_key_ + 1 : domain_.lo;
-    const Key hi = interior_only ? max_key_ - 1 : domain_.hi;
+    const Key lo = interior_only ? min_key() + 1 : domain_.lo;
+    const Key hi = interior_only ? max_key() - 1 : domain_.hi;
     ForEachGapInRange(lo, hi, std::forward<F>(f));
   }
 
  private:
   void RecomputeCurrentLoss();
 
-  /// True when the pruned bound arithmetic (and the int64 suffix-sum
-  /// SoA) is provably admissible for the current n and domain span.
+  /// True when the pruned bound arithmetic (and the key store's int64
+  /// suffix sums) is provably admissible for the current n and domain
+  /// span.
   bool PruneDomainOk() const;
+
+  /// PrefixAt of a key at store position \p p: a directory read plus
+  /// the keys of one block from p on (int64 local sums, or one Int128
+  /// walk outside PruneDomainOk()).
+  PrefixStats PrefixAt(const KeyStore::Pos& p) const;
 
   /// The rank side of the Theorem 1 loss for a fixed point count,
   /// computed once per scan; defined in the .cc.
@@ -549,9 +595,9 @@ class LossLandscape {
   /// Exact minimized loss of the current keys with the stored key
   /// \p key (1-based rank \p rank, shifted key-sum \p sa of the keys
   /// above it) deleted; \p mom describes n - 1 points. The (rank, sa)
-  /// pair comes from a removal-SoA block's tier-relative reconstruction
-  /// or the fallback's running sum — exact, so the loss is
-  /// bit-identical to the flat layout's.
+  /// pair comes from a key-store block's directory reconstruction or
+  /// the fallback's running sum — exact, so the loss is bit-identical
+  /// to the flat layout's.
   long double LossWithoutKey(Key key, Int128 rank, Int128 sa,
                              const RankMoments& mom) const;
 
@@ -563,25 +609,24 @@ class LossLandscape {
                                         const RankMoments& mom, Key kp,
                                         Rank count_less, Int128 suffix_sum);
 
-  /// Builds / refreshes the block-local removal-candidate SoA.
-  void EnsureRemovalSoa() const;
-
   /// Per-scan double-precision bound context of both argmaxes (an
   /// insertion into, or a removal from, the current keys); defined in
   /// the .cc.
   struct BoundCtx;
 
-  /// The argmax skeleton's two candidate sources — gap tiers and key
-  /// blocks — and its running best; defined in the .cc.
+  /// The argmax skeleton's two candidate sources — the gaps after the
+  /// keys of a block, and the keys of a block — and its running best;
+  /// defined in the .cc.
   struct GapSource;
   struct KeySource;
   struct ArgmaxFold;
 
   /// What an insertion argmax scans: the gaps inside [lo, hi], each
-  /// candidate joining the keys `agg` describes. The gap records
-  /// describe the current keys, so above a removed minimum they count
-  /// rank_adj keys with shifted sum prefix_adj that `agg` lacks; every
-  /// gap in [lo, hi] lies above it.
+  /// candidate joining the keys `agg` describes. lo - 1 and hi + 1 are
+  /// stored keys or lie outside the domain, so the range clips no gap.
+  /// The gap records describe the current keys, so above a removed
+  /// minimum they count rank_adj keys with shifted sum prefix_adj that
+  /// `agg` lacks; every gap in [lo, hi] lies above it.
   struct GapSnapshot {
     Aggregates agg;
     Key lo = 0;
@@ -596,11 +641,13 @@ class LossLandscape {
                              ThreadPool* pool, const ArgmaxOptions& argmax,
                              ArgmaxStats* stats) const;
 
-  /// One gap-source group: in-range gaps [begin, end) of tier `tier`.
+  /// One gap-source group: the gaps after keys [begin, end) of store
+  /// block `block`, `gaps` of them non-empty.
   struct GapGroup {
-    std::size_t tier = 0;
+    std::size_t block = 0;
     std::size_t begin = 0;
     std::size_t end = 0;
+    std::int64_t gaps = 0;
   };
 
   /// One parallel chunk: groups [first, end).
@@ -660,14 +707,16 @@ class LossLandscape {
   std::int64_t SubBlockBounds(const Src& src, std::size_t g, double* out,
                               ArgmaxStats* stats) const;
 
-  /// Fills argmax_gap_groups_ with the in-range slice of every tier
-  /// meeting [lo, hi] and returns the number of gaps in them.
+  /// Fills argmax_gap_groups_ with the in-range slice of every block
+  /// meeting [lo, hi] (a range as in GapSnapshot) that holds a gap, and
+  /// returns the number of units in them. The gap below the smallest
+  /// key is in none.
   std::int64_t CollectGapGroups(Key lo, Key hi) const;
 
   /// The bound contexts of the two scans, expanded around one of their
-  /// own candidates: the first gap of the middle collected group (not
+  /// own candidates: the first unit of the middle collected group (not
   /// usable when there is none), and the first key of the middle
-  /// removal-SoA block. \p mom describes the points after the edit.
+  /// store block. \p mom describes the points after the edit.
   BoundCtx GapBoundCtx(const GapSnapshot& snap, const RankMoments& mom) const;
   BoundCtx KeyBoundCtx(const RankMoments& mom) const;
 
@@ -681,22 +730,11 @@ class LossLandscape {
   std::vector<T>& PrepareScratch(std::vector<T>* buf,
                                  std::size_t needed) const;
 
-  std::vector<Key> base_keys_;       // Create-time keys, sorted, static.
-  std::vector<Int128> base_prefix_;  // base_prefix_[i] = sum first i shifted.
-  std::vector<Key> inserted_;        // Keys committed via InsertKey, sorted.
-  FenwickTree<Int128> inserted_slot_sum_;  // Shifted inserted-key sums per
-                                           // base slot (see PrefixAt).
-  std::vector<Key> removed_;         // Removed base keys, sorted tombstones.
-  FenwickTree<Int128> removed_idx_sum_;  // Their shifted sums by base index
-                                         // (lazily allocated on first
-                                         // base-key removal).
-  TieredGaps gaps_;                  // Tiered maximal unoccupied runs
-                                     // with per-tier aggregate boxes.
+  KeyStore store_;                    // The current keys (see KeyStore).
   KeyDomain domain_;
-  Key shift_ = 0;                    // base_keys_[0]; sums use k - shift_.
-  Key min_key_ = 0;
-  Key max_key_ = 0;
-  std::int64_t n_ = 0;               // Current key count (base + inserted).
+  Key shift_ = 0;                    // Smallest Create-time key; sums
+                                     // use k - shift_.
+  std::int64_t n_ = 0;               // Current key count.
   Int128 sum_k_ = 0;
   Int128 sum_k2_ = 0;
   Int128 sum_kr_ = 0;
@@ -714,7 +752,7 @@ class LossLandscape {
   // group's sub-blocks have staged unit bounds.
   mutable std::vector<double> argmax_sub_bounds_;
   mutable std::vector<char> argmax_seed_staged_;
-  // Tiered-scan per-group arrays (sized by group count, ~sqrt(G)).
+  // Tiered-scan per-group arrays (sized by group count, ~sqrt(n)).
   mutable std::vector<double> argmax_tier_bounds_;
   mutable std::vector<double> argmax_tier_suffix_max_;
   mutable std::vector<std::int64_t> argmax_tier_suffix_cnt_;
@@ -722,15 +760,6 @@ class LossLandscape {
                                             // per-gap bound kernel, one
                                             // slot per sweeping task.
   mutable std::int64_t scratch_reallocs_ = 0;
-
-  // Removal-candidate SoA: the current keys in sorted ~sqrt(n) blocks
-  // with block-local int64 suffix key-sums and tier-relative
-  // count_before/sum_after directory scalars (valid under the same
-  // magnitude guard as the pruned bound arithmetic). Built lazily by
-  // FindOptimalRemoval, then maintained incrementally by
-  // InsertKey/RemoveKey in O(sqrt(n)) touched slots per commit; pure
-  // insertion attacks never pay for it.
-  mutable RemovalSoa rem_soa_;
 };
 
 }  // namespace lispoison

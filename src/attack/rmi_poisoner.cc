@@ -164,18 +164,16 @@ long double SimulateExchange(const ModelState& donor,
 /// out infeasible (the state may have drifted since simulation) leaves
 /// everything untouched.
 ///
-/// Measured dead end (PR 5): committing the receiver's boundary-key
-/// removal in place with LossLandscape::RemoveKey instead of the
-/// tight-domain Rebuild is selection-identical (interior candidate
-/// ranges depend only on the current min/max) but ~35% *slower* on the
-/// n=100k uniform attack — the receiver's tier layout and overlays then
-/// evolve across dozens of exchanges without ever being re-balanced
-/// around the shifted span, degrading the tier-bound seeding (exact
-/// re-checks nearly double), while the Rebuild it saves is only
-/// O(model) ~ microseconds. The fresh per-exchange Rebuild is the
-/// faster configuration, so it stays; RemoveKey's home turf is the
-/// update-stream attacks, where removals dominate and the tier
-/// re-balancing tracks them.
+/// Measured alternative: committing the receiver's boundary-key removal
+/// in place (a copy of its landscape, then LossLandscape::RemoveKey)
+/// instead of the tight-domain Rebuild is selection-identical
+/// (interior candidate ranges depend only on the current min/max). It
+/// was ~35% slower while the landscape kept gap tiers and overlays. On
+/// the one key store it is no slower: serial PoisonRmi, medians of five
+/// interleaved runs on a 4-vCPU guest, took 243 ms against Rebuild's
+/// 306 ms at n=100k uniform with 200 models, and 119 ms against 124 ms
+/// at n=50k with model size 500, with identical outcomes. Rebuild stays
+/// until a change that switches the commit re-records the RMI rows.
 bool ApplyExchange(ModelState* donor, ModelState* receiver,
                    bool left_to_right, std::unordered_set<Key>* occupied,
                    std::int64_t threshold, bool interior_only,

@@ -61,7 +61,7 @@ struct RmiAttackOptions {
   /// fixed order.
   int num_threads = 0;
 
-  /// Branch-and-bound pruning (the tiered scan) of every per-model
+  /// Branch-and-bound pruning (the block-tiered scan) of every per-model
   /// greedy argmax (the key-allocation inner loop) and of every
   /// exchange simulation's receiver-side argmax; bit-identical results
   /// either way. See AttackOptions::prune_argmax.

@@ -27,8 +27,9 @@ struct AttackOptions {
   /// invisible to out-of-range and outlier filters).
   bool interior_only = true;
 
-  /// Worker threads for the greedy argmax scans (insertion over gap
-  /// tiers, removal over key blocks). 0 means one per hardware thread;
+  /// Worker threads for the greedy argmax scans (insertion over the gaps
+  /// after the keys of each key-store block, removal over its keys). 0
+  /// means one per hardware thread;
   /// 1 or any negative value runs the serial scan. The selected poison
   /// sequence is bit-identical for every value (chunked
   /// order-independent reduction; see LossLandscape::FindOptimal). A
@@ -39,11 +40,11 @@ struct AttackOptions {
   int num_threads = 1;
 
   /// Branch-and-bound pruning of the per-round argmax, run as the
-  /// tiered scan: one admissible bound per ~sqrt(G)-gap tier (from the
-  /// per-tier aggregates the gap structure maintains across
-  /// insertions), gaps re-scored individually only inside tiers whose
-  /// bound reaches the running best, and only the gaps whose own bound
-  /// reaches it evaluated exactly. Bit-identical to the exhaustive scan
+  /// tiered scan: one admissible bound per ~sqrt(n)-key block of the
+  /// landscape's key store (from the exact records the store maintains
+  /// across commits), gaps re-scored individually only inside blocks
+  /// whose bound reaches the running best, and only the gaps whose own
+  /// bound reaches it evaluated exactly. Bit-identical to the exhaustive scan
   /// for every setting (the bounds are admissible, with an exhaustive
   /// fallback when they are not provably so); off buys nothing but the
   /// reference evaluation counts.

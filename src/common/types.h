@@ -26,7 +26,7 @@ using Rank = std::int64_t;
 /// ~10^26 for n = 10^8 over a 10^9 domain, far past int64 (~9.2*10^18)
 /// but comfortably inside 128 bits (~1.7*10^38). Narrower carriers must
 /// never reappear on these paths. The one deliberately 64-bit structure,
-/// the removal SoA's suffix sums, is guarded by
+/// the key store's block-local suffix sums, is guarded by
 /// LossLandscape::PruneDomainOk (n < 2^31, n*S < 2^63, S < 2^126/n^3)
 /// and falls back to exact Int128 scans outside that envelope.
 using Int128 = __int128;

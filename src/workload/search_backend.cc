@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/code_align.h"
 #include "common/epoch.h"
 #include "common/fault.h"
 #include "index/binary_search_index.h"
@@ -444,7 +445,7 @@ int SearchBackend::RouteShard(Key k) const {
       shard_splits_.begin());
 }
 
-BackendOpResult SearchBackend::Lookup(Key k) const {
+LISPOISON_ALIGN_HOT BackendOpResult SearchBackend::Lookup(Key k) const {
   // Wait-free read path: epoch guard (one atomic store), snapshot
   // load, probe. The ReadPathScope arms the WriterMutex tripwire that
   // enforces "no mutex on this path" at runtime.
@@ -459,8 +460,8 @@ BackendOpResult SearchBackend::Lookup(Key k) const {
   return LookupInSnapshot(*snap, k);
 }
 
-void SearchBackend::LookupBatch(const Key* keys, int count,
-                                BackendOpResult* out) const {
+LISPOISON_ALIGN_HOT void SearchBackend::LookupBatch(
+    const Key* keys, int count, BackendOpResult* out) const {
   ReadPathScope read_scope;
   EpochDomain::Guard guard(EpochDomain::Global());
   if (count > 0) tl_lookups_->Add(count);

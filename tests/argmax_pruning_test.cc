@@ -527,12 +527,14 @@ TEST(ArgmaxPruningTest, EdgeRemovedArgmaxNeedsTwoKeys) {
 // stops pruning and one that under-counts its rounding stops being
 // admissible. For 5 greedy rounds per keyset and direction, every
 // group, sub-block and unit bound of the tiered scan must be >= the
-// exact loss of every unit it covers, the pruned scan must return the
+// exact loss of every unit it covers (a group is one key-store block; on
+// dense runs most blocks and sub-blocks hold no gap and carry no
+// bound), the pruned scan must return the
 // exhaustive scan's candidate, and that candidate must carry the largest
 // audited exact loss. Excluded from the default ctest run (CONFIGURATIONS
 // large_n + env gate): one audit evaluates every candidate exactly.
 
-enum class LargeLayout { kUniform, kLogNormal, kEvenlySpaced };
+enum class LargeLayout { kUniform, kLogNormal, kEvenlySpaced, kDenseRuns };
 
 Result<KeySet> MakeLargeKeyset(LargeLayout layout, std::int64_t n, Rng* rng) {
   const KeyDomain domain{0, 100 * n + 100};
@@ -549,6 +551,18 @@ Result<KeySet> MakeLargeKeyset(LargeLayout layout, std::int64_t n, Rng* rng) {
       for (std::int64_t i = 0; i < n; ++i) keys.push_back(50 + 100 * i);
       return KeySet::Create(std::move(keys), domain);
     }
+    case LargeLayout::kDenseRuns: {
+      // 1,000 runs of consecutive keys between holes of random width:
+      // about one gap per ~1,000-key block.
+      std::vector<Key> keys;
+      keys.reserve(static_cast<std::size_t>(n));
+      Key cursor = 50;
+      for (std::int64_t i = 0; i < n; ++i) {
+        if (i % 1000 == 0) cursor += rng->UniformInt(2, 50000);
+        keys.push_back(cursor++);
+      }
+      return KeySet::Create(std::move(keys), domain);
+    }
   }
   return Status::Internal("unreachable");
 }
@@ -563,7 +577,7 @@ TEST(ArgmaxPruningTest, LargeNBoundsDominateEveryExactLoss) {
   exhaustive.prune = false;
   for (const LargeLayout layout :
        {LargeLayout::kUniform, LargeLayout::kLogNormal,
-        LargeLayout::kEvenlySpaced}) {
+        LargeLayout::kEvenlySpaced, LargeLayout::kDenseRuns}) {
     Rng rng(0x1A46E + static_cast<std::uint64_t>(layout));
     auto ks = MakeLargeKeyset(layout, n, &rng);
     ASSERT_TRUE(ks.ok()) << ks.status().message();

@@ -14,10 +14,11 @@
 namespace lispoison {
 namespace {
 
-// The parallel Create splits the base keys into fixed 64Ki-element
-// chunks and stitches exact-integer partials, so its landscape must be
-// bit-identical to the serial build at every thread count. These tests
-// pin that: aggregates, gap count, the base loss bits, and both argmax
+// The parallel Create builds the key store one block per pool task (the
+// blocks depend only on the key count) and folds their exact-integer
+// partials serially, so its landscape must be bit-identical to the
+// serial build at every thread count. These tests pin that: aggregates,
+// gap count, block geometry, the base loss bits, and both argmax
 // results must not move when a pool is supplied.
 
 void ExpectSameLandscape(const LossLandscape& serial,
@@ -30,6 +31,8 @@ void ExpectSameLandscape(const LossLandscape& serial,
   EXPECT_TRUE(a.sum_k2 == b.sum_k2);
   EXPECT_TRUE(a.sum_kr == b.sum_kr);
   EXPECT_EQ(serial.gap_count(), parallel.gap_count());
+  EXPECT_EQ(serial.block_count(), parallel.block_count());
+  EXPECT_EQ(serial.block_cap(), parallel.block_cap());
   EXPECT_EQ(serial.BaseLoss(), parallel.BaseLoss());
 
   auto want = serial.FindOptimal(/*interior_only=*/false);
@@ -53,8 +56,7 @@ void ExpectSameLandscape(const LossLandscape& serial,
 }
 
 TEST(ParallelCreateTest, BitIdenticalAcrossThreadCounts) {
-  // n > 64Ki so the chunked path actually engages; an awkward n (prime
-  // remainder chunk) exercises the tail chunk.
+  // Hundreds of blocks, and an awkward n whose last block is short.
   Rng rng(31);
   auto ks = GenerateUniform(70'001, KeyDomain{0, 40'000'000}, &rng);
   ASSERT_TRUE(ks.ok());
@@ -69,21 +71,23 @@ TEST(ParallelCreateTest, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelCreateTest, ExactChunkMultipleHasNoTailArtifacts) {
-  // n == 2 * 65536 lands chunk boundaries exactly on the key array
-  // ends; the boundary-gap emission (cursor re-derived from the left
-  // neighbor) must still produce the identical gap list.
+  // n == 2 * 65536, and n == 256^2, whose 256 blocks of 256 keys end
+  // exactly on the key array's end: each block's last gap runs to the
+  // next block's first key, or to the domain's end after the last.
   Rng rng(32);
-  auto ks = GenerateUniform(131'072, KeyDomain{0, 80'000'000}, &rng);
-  ASSERT_TRUE(ks.ok());
-  auto serial = LossLandscape::Create(*ks);
-  ASSERT_TRUE(serial.ok());
-  ThreadPool pool(3);
-  auto parallel = LossLandscape::Create(*ks, &pool);
-  ASSERT_TRUE(parallel.ok());
-  ExpectSameLandscape(*serial, *parallel, &pool);
+  for (const std::int64_t n : {131'072, 65'536}) {
+    auto ks = GenerateUniform(n, KeyDomain{0, 80'000'000}, &rng);
+    ASSERT_TRUE(ks.ok());
+    auto serial = LossLandscape::Create(*ks);
+    ASSERT_TRUE(serial.ok());
+    ThreadPool pool(3);
+    auto parallel = LossLandscape::Create(*ks, &pool);
+    ASSERT_TRUE(parallel.ok());
+    ExpectSameLandscape(*serial, *parallel, &pool);
+  }
 }
 
-TEST(ParallelCreateTest, SmallInputsTakeTheSerialPathUnchanged) {
+TEST(ParallelCreateTest, SmallInputsMatchTheSerialBuild) {
   Rng rng(33);
   auto ks = GenerateUniform(500, KeyDomain{0, 9'999}, &rng);
   ASSERT_TRUE(ks.ok());
@@ -96,9 +100,9 @@ TEST(ParallelCreateTest, SmallInputsTakeTheSerialPathUnchanged) {
 }
 
 TEST(ParallelCreateTest, DenseDomainKeepsBoundaryGapsIdentical)  {
-  // Nearly-full domain: most gaps are single keys and many chunk
+  // Nearly-full domain: most gaps are single keys and many block
   // boundaries fall inside runs of adjacent keys, the hard case for
-  // per-chunk gap emission.
+  // per-block gap counts.
   std::vector<Key> keys;
   keys.reserve(100'000);
   for (Key k = 0; k < 150'000; k += (k % 3 == 0 ? 1 : 2)) keys.push_back(k);
@@ -115,8 +119,8 @@ TEST(ParallelCreateTest, DenseDomainKeepsBoundaryGapsIdentical)  {
 TEST(ParallelCreateTest, ParallelBuildFeedsIncrementalCommitsExactly) {
   // Build parallel, then drive the same insert sequence through both
   // landscapes: every post-commit loss must stay bitwise equal, proving
-  // the parallel build left every internal structure (prefix array,
-  // Fenwick overlays, gap tiers) in the serial state.
+  // the parallel build left the key store (keys, local sums, directory,
+  // gap counts) in the serial state.
   Rng rng(34);
   auto ks = GenerateUniform(70'000, KeyDomain{0, 10'000'000}, &rng);
   ASSERT_TRUE(ks.ok());

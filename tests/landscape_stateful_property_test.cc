@@ -19,10 +19,10 @@
 //                       that survived it (cached_bounds +
 //                       invalidated_gaps == n)
 //
-// and every InsertKey splice / RemoveKey merge must move O(sqrt(G)) gap
-// records, not O(G) — asserted through the engine's splice-work counter
-// against the tier cap (a flat-vector splice would move ~G/2 records
-// per edit).
+// and every InsertKey / RemoveKey commit must touch O(sqrt(n)) key-store
+// slots, not O(n) — asserted through the store's touched-slot counter
+// against its block cap (a flat-vector splice would move ~n/2 keys per
+// edit).
 //
 // The sequence count is env-tunable: PROPERTY_TEST_SEEDS=<n> extends
 // the sweep (CI's sanitizer matrix runs an extended range).
@@ -57,8 +57,8 @@ struct OracleScan {
 
 /// The reference model: a flat sorted key vector. Every scan rebuilds
 /// the exact aggregates from scratch and evaluates every gap endpoint —
-/// the "flat-vector + full evaluation" ground truth the tiered engine
-/// must bit-match. Loss values are computed through the same public
+/// the "flat-vector + full evaluation" ground truth the block-store
+/// engine must bit-match. Loss values are computed through the same public
 /// Aggregates arithmetic, whose shift-invariance (pinned by
 /// loss_landscape_incremental_test) makes bit-equality well-defined
 /// even though the oracle re-shifts by its own current minimum.
@@ -182,6 +182,16 @@ int SeedCount() {
   return 200;
 }
 
+/// Per-commit budget of key-store touched slots: one block's arrays and
+/// the directory for the commit itself, plus at most one underflow
+/// merge and one split (each <= 1.25 caps of keys and the directory).
+/// Blocks stay above cap/4 keys but the last one, so the directory holds
+/// at most 4n/cap + 2 entries. A flat layout would move ~n/2 keys.
+std::int64_t CommitBudget(std::int64_t cap, std::int64_t n) {
+  cap = std::max<std::int64_t>(1, cap);
+  return 4 * cap + 3 * (4 * n / cap + 2) + 64;
+}
+
 /// One randomized op sequence. `pools` supplies shared thread pools for
 /// the {2, 7}-worker scans (nullptr entries mean serial).
 void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
@@ -203,14 +213,6 @@ void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
   LossLandscape::ArgmaxStats stats;
   LossLandscape::ArgmaxStats prev;
   std::int64_t prev_splice = ll->splice_moves();
-
-  // Per-edit splice/merge budget: within-tier shifts (<= tier cap), one
-  // possible tier split or underflow re-balance (<= ~1.5 cap copies)
-  // and the tier directory (underflow re-balancing keeps tiers above
-  // cap/4, so <= 4G/cap + 1 entries). A flat layout would move ~G/2.
-  auto splice_budget = [](std::int64_t cap, std::int64_t gaps) {
-    return 3 * cap + 4 * gaps / std::max<std::int64_t>(1, cap) + 64;
-  };
 
   const int ops = 30;
   for (int op = 0; op < ops; ++op) {
@@ -234,8 +236,8 @@ void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
       EXPECT_EQ(ll->gap_count(), total_gaps) << "seed " << seed;
       const std::int64_t moved = ll->splice_moves() - prev_splice;
       prev_splice = ll->splice_moves();
-      EXPECT_LE(moved, splice_budget(ll->gap_tier_cap(), total_gaps))
-          << "seed " << seed << " op " << op << " G=" << total_gaps;
+      EXPECT_LE(moved, CommitBudget(ll->block_cap(), ll->size()))
+          << "seed " << seed << " op " << op << " n=" << ll->size();
     } else if (roll < 42) {
       // ---- RemoveKey of a random stored key. ----
       if (oracle.size() <= 4) continue;
@@ -249,12 +251,12 @@ void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
       }
       const std::int64_t total_gaps = oracle.TotalGaps();
       EXPECT_EQ(ll->gap_count(), total_gaps) << "seed " << seed;
-      // The tiered merge is the splice's dual and must obey the same
-      // O(sqrt(G)) budget.
+      // A removal is the insertion's dual and must obey the same
+      // O(sqrt(n)) budget.
       const std::int64_t moved = ll->splice_moves() - prev_splice;
       prev_splice = ll->splice_moves();
-      EXPECT_LE(moved, splice_budget(ll->gap_tier_cap(), total_gaps))
-          << "seed " << seed << " op " << op << " G=" << total_gaps;
+      EXPECT_LE(moved, CommitBudget(ll->block_cap(), ll->size()))
+          << "seed " << seed << " op " << op << " n=" << ll->size();
     } else if (roll < 50) {
       // ---- ReplaceKey: relocate a stored key to a free slot. ----
       if (oracle.size() <= 4) continue;
@@ -282,10 +284,10 @@ void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
       EXPECT_EQ(ll->gap_count(), total_gaps) << "seed " << seed;
       const std::int64_t moved = ll->splice_moves() - prev_splice;
       prev_splice = ll->splice_moves();
-      // One merge plus one splice (plus the possible same-slot
+      // One removal plus one insertion (plus the possible same-slot
       // round-trip above): a small multiple of the per-edit budget.
-      EXPECT_LE(moved, 4 * splice_budget(ll->gap_tier_cap(), total_gaps))
-          << "seed " << seed << " op " << op << " G=" << total_gaps;
+      EXPECT_LE(moved, 4 * CommitBudget(ll->block_cap(), ll->size()))
+          << "seed " << seed << " op " << op << " n=" << ll->size();
     } else if (roll < 62) {
       // ---- FindOptimalRemoval under random settings. ----
       if (oracle.size() < 3) continue;
@@ -351,7 +353,7 @@ void RunSequence(std::uint64_t seed, const std::vector<ThreadPool*>& pools) {
         const std::int64_t surviving_keys =
             d(&LossLandscape::ArgmaxStats::invalidated_gaps);
         EXPECT_LE(d(&LossLandscape::ArgmaxStats::bound_evals),
-                  ll->removal_block_count() + surviving_keys +
+                  ll->block_count() + surviving_keys +
                       (surviving_keys + 31) / 32)
             << "seed " << seed << " op " << op;
       }
@@ -449,16 +451,16 @@ TEST(LandscapeStatefulPropertyTest, SeededOpSequencesMatchFlatOracle) {
 }
 
 TEST(LandscapeStatefulPropertyTest, GreedySelfInsertionSpliceWorkSublinear) {
-  // The greedy attack's own access pattern at a gap count where a flat
-  // O(G) splice would dwarf the tiered bound: 300 inserts into ~5000
-  // maximal gaps must each move O(sqrt(G)) records.
+  // The greedy attack's own access pattern at a size where a flat O(n)
+  // splice would dwarf the block bound: 300 inserts into ~5000 keys
+  // must each touch O(sqrt(n)) store slots.
   Rng rng(0x5811CE);
   auto ks = GenerateUniform(5000, KeyDomain{0, 80000}, &rng);
   ASSERT_TRUE(ks.ok());
   auto ll = LossLandscape::Create(*ks);
   ASSERT_TRUE(ll.ok());
 
-  const std::int64_t cap = ll->gap_tier_cap();
+  const std::int64_t cap = ll->block_cap();
   std::int64_t prev_splice = ll->splice_moves();
   std::int64_t max_moved = 0;
   for (int round = 0; round < 300; ++round) {
@@ -468,10 +470,7 @@ TEST(LandscapeStatefulPropertyTest, GreedySelfInsertionSpliceWorkSublinear) {
     const std::int64_t moved = ll->splice_moves() - prev_splice;
     prev_splice = ll->splice_moves();
     max_moved = std::max(max_moved, moved);
-    const std::int64_t gaps = ll->gap_count();
-    ASSERT_LE(moved,
-              2 * cap + 2 * gaps / std::max<std::int64_t>(1, cap) + 32)
-        << "round " << round;
+    ASSERT_LE(moved, CommitBudget(cap, ll->size())) << "round " << round;
   }
   // Structural sanity: the worst insert stayed around sqrt-scale, far
   // below the flat vector's ~G/2 average memmove.
@@ -481,16 +480,15 @@ TEST(LandscapeStatefulPropertyTest, GreedySelfInsertionSpliceWorkSublinear) {
 
 TEST(LandscapeStatefulPropertyTest, GreedyDeletionMergeWorkSublinear) {
   // The deletion attack's own access pattern: 300 argmax-chosen
-  // removals against ~5000 maximal gaps, each committing an O(sqrt(G))
-  // tiered merge (with underflow re-balancing), never a flat O(G)
-  // splice.
+  // removals from ~5000 keys, each committing an O(sqrt(n)) block
+  // removal (with underflow re-balancing), never a flat O(n) splice.
   Rng rng(0xDE1E7E5);
   auto ks = GenerateUniform(5000, KeyDomain{0, 80000}, &rng);
   ASSERT_TRUE(ks.ok());
   auto ll = LossLandscape::Create(*ks);
   ASSERT_TRUE(ll.ok());
 
-  const std::int64_t cap = ll->gap_tier_cap();
+  const std::int64_t cap = ll->block_cap();
   std::int64_t prev_splice = ll->splice_moves();
   std::int64_t max_moved = 0;
   for (int round = 0; round < 300; ++round) {
@@ -501,10 +499,7 @@ TEST(LandscapeStatefulPropertyTest, GreedyDeletionMergeWorkSublinear) {
     const std::int64_t moved = ll->splice_moves() - prev_splice;
     prev_splice = ll->splice_moves();
     max_moved = std::max(max_moved, moved);
-    const std::int64_t gaps = ll->gap_count();
-    ASSERT_LE(moved,
-              3 * cap + 4 * gaps / std::max<std::int64_t>(1, cap) + 64)
-        << "round " << round;
+    ASSERT_LE(moved, CommitBudget(cap, ll->size())) << "round " << round;
   }
   EXPECT_LT(max_moved, ll->gap_count() / 4);
   EXPECT_GT(max_moved, 0);
@@ -516,11 +511,10 @@ TEST(LandscapeStatefulPropertyTest, GreedyDeletionMergeWorkSublinear) {
 // thousand. This mode runs the same stateful contract at n = 10^6 with
 // a *sampled* oracle: the engine's argmax answer must dominate a few
 // thousand randomly sampled candidates scored through the public
-// Aggregates arithmetic, every commit must hold the O(sqrt(G)) splice
-// budget and the O(sqrt(n)) removal-SoA touch budget, and the gap count
-// must track an independent O(n) walk. Excluded from the default ctest
-// run (CONFIGURATIONS large_n + env gate) because one iteration costs
-// seconds, not milliseconds.
+// Aggregates arithmetic, every commit must hold the O(sqrt(n)) key-store
+// touch budget, and the gap count must track an independent O(n) walk.
+// Excluded from the default ctest run (CONFIGURATIONS large_n + env
+// gate) because one iteration costs seconds, not milliseconds.
 
 TEST(LandscapeStatefulPropertyTest, LargeNSampledMode) {
   if (std::getenv("LISPOISON_LARGE_N") == nullptr) {
@@ -533,7 +527,7 @@ TEST(LandscapeStatefulPropertyTest, LargeNSampledMode) {
   ASSERT_TRUE(ks.ok());
   ThreadPool pool(3);
   // Parallel build on purpose: the sampled sweep then also exercises
-  // the chunked Create product end to end.
+  // the per-block Create product end to end.
   auto ll = LossLandscape::Create(*ks, &pool);
   ASSERT_TRUE(ll.ok());
   FlatOracle oracle(ks->keys(), domain);
@@ -567,7 +561,7 @@ TEST(LandscapeStatefulPropertyTest, LargeNSampledMode) {
       oracle.Insert(kp);
     } else if (roll < 70) {
       // Argmax-chosen removal: the engine's own deletion-attack access
-      // pattern, which also maintains the removal SoA.
+      // pattern.
       auto best = ll->FindOptimalRemoval(nullptr, &pool,
                                          LossLandscape::ArgmaxOptions{});
       ASSERT_TRUE(best.ok()) << "op " << op;
@@ -627,12 +621,7 @@ TEST(LandscapeStatefulPropertyTest, LargeNSampledMode) {
     EXPECT_EQ(ll->gap_count(), oracle.TotalGaps()) << "op " << op;
     const std::int64_t moved = ll->splice_moves() - prev_splice;
     prev_splice = ll->splice_moves();
-    EXPECT_LE(moved,
-              3 * ll->gap_tier_cap() +
-                  4 * ll->gap_count() /
-                      std::max<std::int64_t>(1, ll->gap_tier_cap()) +
-                  64)
-        << "op " << op;
+    EXPECT_LE(moved, CommitBudget(ll->block_cap(), ll->size())) << "op " << op;
   }
   if (ll->removal_commits() > 0) {
     const double per_commit =

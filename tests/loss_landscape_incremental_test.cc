@@ -267,24 +267,12 @@ TEST(LossLandscapeIncrementalTest, PrunerHandlesBoundaryGaps) {
   ExpectPrunedMatchesExhaustive(*ll);
 }
 
-TEST(LossLandscapeIncrementalTest, PrefixStatsMatchBruteForce) {
-  Rng rng(7);
-  const KeyDomain domain{0, 999};
-  auto base = GenerateUniform(50, domain, &rng);
-  ASSERT_TRUE(base.ok());
-  auto ll = LossLandscape::Create(*base);
-  ASSERT_TRUE(ll.ok());
-  std::vector<Key> all = base->keys();
-  for (int k = 0; k < 30; ++k) {
-    Key kp;
-    do {
-      kp = rng.UniformInt(domain.lo, domain.hi);
-    } while (std::find(all.begin(), all.end(), kp) != all.end());
-    ASSERT_TRUE(ll->InsertKey(kp).ok());
-    all.insert(std::lower_bound(all.begin(), all.end(), kp), kp);
-  }
-  const Key shift = ll->shift();
-  for (Key probe = domain.lo; probe <= domain.hi; probe += 13) {
+/// PrefixAt at every probe against a brute-force pass over \p all.
+void ExpectPrefixStatsMatch(const LossLandscape& ll,
+                            const std::vector<Key>& all,
+                            const std::vector<Key>& probes) {
+  const Key shift = ll.shift();
+  for (const Key probe : probes) {
     Rank count = 0;
     Int128 sum = 0;
     for (const Key k : all) {
@@ -293,9 +281,70 @@ TEST(LossLandscapeIncrementalTest, PrefixStatsMatchBruteForce) {
         sum += static_cast<Int128>(k) - shift;
       }
     }
-    const auto stats = ll->PrefixAt(probe);
+    const auto stats = ll.PrefixAt(probe);
     EXPECT_EQ(stats.count_less, count) << "probe " << probe;
     EXPECT_TRUE(stats.prefix_sum == sum) << "probe " << probe;
+  }
+}
+
+TEST(LossLandscapeIncrementalTest, PrefixStatsMatchBruteForce) {
+  // Two keysets: 50 keys on [0, 999], and 2,400 keys on [0, 6 * 10^15],
+  // where n * S ~ 1.4e19 > 2^63 puts the landscape outside the magnitude
+  // guard (and n^2 S^2 stays inside the Int128 envelope of the loss):
+  // the key store keeps no int64 local sums there, and PrefixAt walks
+  // one of its ~50 blocks in Int128. Each is checked after
+  // inserts and again after removals, at every 13th key of the small
+  // domain, or at stored keys, their neighbours and random probes.
+  for (const Key hi : {Key{999}, Key{6'000'000'000'000'000}}) {
+    const bool wide = hi > 999;
+    Rng rng(wide ? 8 : 7);
+    const KeyDomain domain{0, hi};
+    auto base = GenerateUniform(wide ? 2400 : 50, domain, &rng);
+    ASSERT_TRUE(base.ok());
+    auto ll = LossLandscape::Create(*base);
+    ASSERT_TRUE(ll.ok());
+    LossLandscape::ArgmaxStats stats;
+    ASSERT_TRUE(ll->FindOptimalRemoval(nullptr, nullptr,
+                                       LossLandscape::ArgmaxOptions{}, &stats)
+                    .ok());
+    ASSERT_EQ(stats.fallback_rounds, wide ? 1 : 0) << "domain hi " << hi;
+    std::vector<Key> all = base->keys();
+    auto probes = [&] {
+      std::vector<Key> out;
+      if (!wide) {
+        for (Key probe = domain.lo; probe <= domain.hi; probe += 13) {
+          out.push_back(probe);
+        }
+        return out;
+      }
+      out = {domain.lo, domain.hi};
+      for (std::size_t i = 0; i < all.size(); i += 7) {
+        out.push_back(all[i]);
+        out.push_back(all[i] - 1);
+        out.push_back(all[i] + 1);
+      }
+      for (int i = 0; i < 200; ++i) {
+        out.push_back(rng.UniformInt(domain.lo, domain.hi));
+      }
+      return out;
+    };
+    for (int k = 0; k < (wide ? 40 : 30); ++k) {
+      Key kp;
+      do {
+        kp = rng.UniformInt(domain.lo, domain.hi);
+      } while (std::binary_search(all.begin(), all.end(), kp));
+      ASSERT_TRUE(ll->InsertKey(kp).ok());
+      all.insert(std::lower_bound(all.begin(), all.end(), kp), kp);
+    }
+    ExpectPrefixStatsMatch(*ll, all, probes());
+    for (int k = 0; k < (wide ? 40 : 10); ++k) {
+      const auto victim =
+          all.begin() +
+          rng.UniformInt(0, static_cast<std::int64_t>(all.size()) - 1);
+      ASSERT_TRUE(ll->RemoveKey(*victim).ok());
+      all.erase(victim);
+    }
+    ExpectPrefixStatsMatch(*ll, all, probes());
   }
 }
 

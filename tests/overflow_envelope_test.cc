@@ -15,7 +15,7 @@ namespace {
 
 // The 10M-scale envelope (src/common/types.h): every aggregate path
 // must carry Int128, and the one deliberately-64-bit structure (the
-// removal SoA's suffix sums) must drop out cleanly beyond its
+// key store's block-local suffix sums) must drop out cleanly beyond its
 // PruneDomainOk guard. Each test here drives magnitudes where a
 // reintroduced int64 narrowing wraps and produces garbage losses, so
 // the value assertions below fail loudly on regression.
@@ -62,7 +62,7 @@ TEST(OverflowEnvelopeTest, WideDomainPrunedArgmaxMatchesExhaustive) {
 }
 
 TEST(OverflowEnvelopeTest, BeyondSoaGuardRemovalFallsBackToExactScan) {
-  // n * S ~ 2*10^19 > 2^63: PruneDomainOk fails, so the removal SoA
+  // n * S ~ 2*10^19 > 2^63: PruneDomainOk fails, so the key store
   // must decline its int64 suffix sums and FindOptimalRemoval must run
   // the exact Int128 walk — still agreeing with the rebuild-per-round
   // reference.
@@ -99,7 +99,7 @@ TEST(OverflowEnvelopeTest, SoaSuffixSumsNearInt64CeilingStayExact) {
 }
 
 TEST(OverflowEnvelopeTest, RemovalCommitCostIsSublinear) {
-  // The block-local SoA keeps a removal commit at O(sqrt(n)) touched
+  // The blocked key store keeps a removal commit at O(sqrt(n)) touched
   // slots. At n = 10^6 the bound below is ~50x under the flat layout's
   // O(n) rewrite cost, so a regression to flat maintenance trips it.
   Rng rng(45);

@@ -90,12 +90,12 @@ Attack-10M mode (ISSUE 9) gates the committed n=10M scale rows
   tools/check_bench_json.py --attack-10m BENCH_attack_throughput.json
 
 It asserts the 10M insertion/deletion rows exist with the full counter
-set, that each makes at most 10,000 exact evaluations per round
-(exact_evals / budget; a bound whose rounding margin tracks VarY ~ n^4
-instead of the loss spread keeps ~700k alive), and that the
-block-local removal SoA's per-commit touched slots grew <= 20x from the
-n=100k deletion row (sqrt(100) = 10x ideal for a 100x larger keyset; a
-flat-array regression shows ~100x).
+set and a peak_rss_mb, that each makes at most 10,000 exact evaluations
+per round (exact_evals / budget; a bound whose rounding margin tracks
+VarY ~ n^4 instead of the loss spread keeps ~700k alive), and that the
+key store's per-commit touched slots (touched_slots / commits) grew
+<= 20x from the n=100k insertion and deletion rows (sqrt(100) = 10x
+ideal for a 100x larger keyset; a flat-array regression shows ~100x).
 
 Adversarial mode (PR 8) gates the committed BENCH_adversarial.json
 (bench_adversarial_golden):
@@ -763,62 +763,76 @@ def check_attack_10m(path):
     Usage: tools/check_bench_json.py --attack-10m BENCH_attack_throughput.json
 
     Asserts the committed full-run JSON carries the n=10M insertion and
-    deletion rows with the full argmax counter set, that both make at
-    most MAX_EXACT_PER_ROUND_10M exact evaluations per round, that the
-    deletion
-    rows surface the block-local removal-SoA commit accounting
-    (rem_touched_slots / rem_commits), and that the per-commit touched
-    slots grew sublinearly from n=100k to n=10M: the ideal O(sqrt(n))
-    ratio is sqrt(100) = 10x for a 100x larger keyset, gated at <= 20x
-    (2x slack for block-count rounding); a flat-array regression would
-    show ~100x and fail loudly.
+    deletion rows with the full argmax counter set and the process's
+    peak_rss_mb, that both make at most MAX_EXACT_PER_ROUND_10M exact
+    evaluations per round, and that the key store's per-commit touched
+    slots (touched_slots / commits) grew sublinearly from n=100k to
+    n=10M, for insertion and for deletion: the ideal O(sqrt(n)) ratio is
+    sqrt(100) = 10x for a 100x larger keyset, gated at <= 20x (2x slack
+    for block-count rounding); a flat-array regression would show ~100x
+    and fail loudly.
     """
     entries = load_entries(path)
-    big_insert = f"{GREEDY_INCREMENTAL}/1/10000000/200/1/1"
-    big_delete = f"{DELETE_INCREMENTAL}/1/10000000/200/1/1"
-    small_delete = f"{DELETE_INCREMENTAL}/1/100000/200/1/1"
-    for name in (big_insert, big_delete, small_delete):
-        assert name in entries, f"committed baseline lacks the scale row {name}"
-    for name in (big_insert, big_delete):
-        entry = entries[name]
-        for counter in REQUIRED_COUNTERS:
-            assert counter in entry, f"{name} is missing counter {counter}"
+    pairs = (
+        (f"{GREEDY_INCREMENTAL}/1/100000/1000/1/1",
+         f"{GREEDY_INCREMENTAL}/1/10000000/200/1/1"),
+        (f"{DELETE_INCREMENTAL}/1/100000/200/1/1",
+         f"{DELETE_INCREMENTAL}/1/10000000/200/1/1"),
+    )
+    for small_name, big_name in pairs:
+        for name in (small_name, big_name):
+            assert name in entries, (
+                f"committed baseline lacks the scale row {name}"
+            )
+        entry = entries[big_name]
+        for counter in REQUIRED_COUNTERS + ("peak_rss_mb",):
+            assert counter in entry, f"{big_name} is missing counter {counter}"
+        assert float(entry["peak_rss_mb"]) > 0, (
+            f"{big_name}: no peak RSS recorded"
+        )
         assert float(entry["ratio_loss"]) > 1.0, (
-            f"{name}: the attack did not degrade the loss at n=10M"
+            f"{big_name}: the attack did not degrade the loss at n=10M"
         )
         assert float(entry["bound_evals"]) > 0, (
-            f"{name}: the pruned argmax never scored a bound at n=10M"
+            f"{big_name}: the pruned argmax never scored a bound at n=10M"
         )
-        rounds = split_args(name)[1][2]
+        rounds = split_args(big_name)[1][2]
         per_round = float(entry["exact_evals"]) / rounds
         assert per_round <= MAX_EXACT_PER_ROUND_10M, (
-            f"{name}: {per_round:.0f} exact evaluations per round at n=10M, "
-            f"above {MAX_EXACT_PER_ROUND_10M}: the argmax bounds stopped "
-            f"pruning at scale"
+            f"{big_name}: {per_round:.0f} exact evaluations per round at "
+            f"n=10M, above {MAX_EXACT_PER_ROUND_10M}: the argmax bounds "
+            f"stopped pruning at scale"
         )
 
     def per_commit(name):
         entry = entries[name]
-        for counter in ("rem_touched_slots", "rem_commits"):
+        for counter in ("touched_slots", "commits"):
             assert counter in entry, f"{name} is missing counter {counter}"
-        commits = float(entry["rem_commits"])
-        assert commits > 0, f"{name}: no removal commits recorded"
-        return float(entry["rem_touched_slots"]) / commits
+        commits = float(entry["commits"])
+        assert commits > 0, f"{name}: no commits recorded"
+        return float(entry["touched_slots"]) / commits
 
-    small = per_commit(small_delete)
-    big = per_commit(big_delete)
-    assert small > 0, f"{small_delete}: zero per-commit touched slots"
-    ratio = big / small
-    assert ratio <= 20.0, (
-        f"block-local removal commits are no longer O(sqrt(n)): per-commit "
-        f"touched slots grew {ratio:.1f}x from n=100k ({small:.0f}) to "
-        f"n=10M ({big:.0f}); the sqrt scaling bound is 10x (gated at 20x)"
-    )
+    notes = []
+    for small_name, big_name in pairs:
+        small = per_commit(small_name)
+        big = per_commit(big_name)
+        assert small > 0, f"{small_name}: zero per-commit touched slots"
+        ratio = big / small
+        assert ratio <= 20.0, (
+            f"key-store commits are no longer O(sqrt(n)): per-commit "
+            f"touched slots grew {ratio:.1f}x from {small_name} "
+            f"({small:.0f}) to {big_name} ({big:.0f}); the sqrt scaling "
+            f"bound is 10x (gated at 20x)"
+        )
+        notes.append(
+            f"{split_args(big_name)[0]} {small:.0f} @ 100k -> {big:.0f} @ 10M "
+            f"({ratio:.1f}x), peak RSS "
+            f"{float(entries[big_name]['peak_rss_mb']):.0f} MB"
+        )
     print(
         f"attack 10M OK: scale rows present with <= "
-        f"{MAX_EXACT_PER_ROUND_10M} exact evaluations per round, per-commit "
-        f"touched slots {small:.0f} @ 100k -> {big:.0f} @ 10M "
-        f"({ratio:.1f}x, sqrt bound 10x, gate 20x)"
+        f"{MAX_EXACT_PER_ROUND_10M} exact evaluations per round; per-commit "
+        f"touched slots (sqrt bound 10x, gate 20x): " + "; ".join(notes)
     )
 
 
