@@ -366,7 +366,9 @@ BENCHMARK(BM_GreedyPoisonCdf_Incremental)
     // take hours; the --attack-10m gate instead holds the per-commit
     // counters sublinear against the n=100k rows and requires their
     // peak_rss_mb). Excluded from the CI smoke filter, present in the
-    // committed full-run JSON. The pooled sibling's rounds fan out.
+    // committed full-run JSON. The pooled sibling's rounds stay below
+    // the fan-out threshold and run the serial scan: the pooled
+    // exhaustive log-normal row above is the only row that fans out.
     ->Args({kUniform, 10000000, 200, 1, 1})
     ->Args({kUniform, 10000000, 200, 0, 1});
 BENCHMARK(BM_GreedyPoisonCdf_Reference)

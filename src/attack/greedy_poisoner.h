@@ -56,11 +56,11 @@ struct GreedyPoisonResult {
 /// ThreadPool with a fixed-order reduction; with
 /// AttackOptions::prune_argmax (the default) each scan runs the
 /// branch-and-bound tiered scan (admissible upper bounds, early exit)
-/// — one range bound per ~sqrt(n)-key block, per-gap re-scoring only
-/// inside surviving blocks — dropping per-round bound work to
-/// O(sqrt(n) + survivors). Selects bit-identical poison sequences to
-/// GreedyPoisonCdfReference for every thread count and pruning
-/// setting.
+/// — one range bound per group of ~sqrt(n)-key block slices (up to
+/// ~sqrt(G) gaps), per-gap re-scoring only inside surviving groups —
+/// dropping per-round bound work to O(sqrt(n) + survivors). Selects
+/// bit-identical poison sequences to GreedyPoisonCdfReference for every
+/// thread count and pruning setting.
 ///
 /// Fails with InvalidArgument for empty keysets or p < 1, and with
 /// ResourceExhausted if the allowed range runs out of unoccupied keys

@@ -21,6 +21,46 @@ std::int64_t BlockTarget(std::int64_t n) {
   return std::max<std::int64_t>(target, 16);
 }
 
+/// The last key of the gap after key j of the m keys \p k, the one
+/// after the last ending at \p last_hi.
+inline Key GapEnd(const Key* k, std::size_t m, Key last_hi, std::size_t j) {
+  return j + 1 < m ? k[j + 1] - 1 : last_hi;
+}
+
+/// KeyStore::FirstGap and LastGap over the m keys \p k.
+std::size_t FirstGapOf(const Key* k, std::size_t m, Key last_hi,
+                       std::size_t begin, std::size_t end) {
+  if (GapEnd(k, m, last_hi, begin) > k[begin]) return begin;
+  std::size_t lo = begin;
+  std::size_t hi = end - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (GapEnd(k, m, last_hi, mid) - k[begin] ==
+        static_cast<Key>(mid - begin)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+std::size_t LastGapOf(const Key* k, std::size_t m, Key last_hi,
+                      std::size_t begin, std::size_t end) {
+  const Key end_hi = GapEnd(k, m, last_hi, end - 1);
+  if (end_hi > k[end - 1]) return end - 1;
+  std::size_t lo = begin;
+  std::size_t hi = end - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo + 1) / 2;
+    if (end_hi - k[mid] == static_cast<Key>(end - 1 - mid)) {
+      hi = mid - 1;
+    } else {
+      lo = mid;
+    }
+  }
+  return lo;
+}
+
 }  // namespace
 
 KeyStore::Totals KeyStore::Build(const std::vector<Key>& keys, Key shift,
@@ -52,6 +92,10 @@ KeyStore::Totals KeyStore::Build(const std::vector<Key>& keys, Key shift,
     std::int64_t gaps = k[m - 1] < hi_after ? 1 : 0;
     for (std::size_t j = 0; j + 1 < m; ++j) gaps += k[j] < k[j + 1] - 1;
     blk.gaps = gaps;
+    if (gaps > 0) {
+      blk.first_gap = FirstGapOf(k, m, hi_after, 0, m);
+      blk.last_gap = LastGapOf(k, m, hi_after, 0, m);
+    }
     Totals& t = part[b];
     if (with_sa) {
       // Shifted keys fit int64 inside the magnitude guard, so each
@@ -72,7 +116,7 @@ KeyStore::Totals KeyStore::Build(const std::vector<Key>& keys, Key shift,
       }
     }
   };
-  if (pool != nullptr) {
+  if (pool != nullptr && pool->num_threads() > 1) {
     pool->ParallelFor(num_blocks, build);
   } else {
     for (std::int64_t b = 0; b < num_blocks; ++b) build(b);
@@ -149,6 +193,27 @@ std::int64_t KeyStore::CountGaps(std::size_t b, std::size_t begin,
   return gaps;
 }
 
+std::size_t KeyStore::FirstGap(std::size_t b, std::size_t begin,
+                               std::size_t end) const {
+  const std::vector<Key>& keys = blocks_[b].keys;
+  return FirstGapOf(keys.data(), keys.size(), GapHi(b, keys.size() - 1),
+                    begin, end);
+}
+
+std::size_t KeyStore::LastGap(std::size_t b, std::size_t begin,
+                              std::size_t end) const {
+  const std::vector<Key>& keys = blocks_[b].keys;
+  return LastGapOf(keys.data(), keys.size(), GapHi(b, keys.size() - 1),
+                   begin, end);
+}
+
+void KeyStore::FindGapEnds(std::size_t b) {
+  Block& blk = blocks_[b];
+  if (blk.gaps == 0) return;
+  blk.first_gap = FirstGap(b, 0, blk.keys.size());
+  blk.last_gap = LastGap(b, 0, blk.keys.size());
+}
+
 std::int64_t KeyStore::gap_count() const {
   std::int64_t gaps = 0;
   for (const Block& b : blocks_) gaps += b.gaps;
@@ -188,6 +253,7 @@ void KeyStore::Insert(Key k) {
   }
   touched_slots_ += static_cast<std::int64_t>(m + 1) +
                     static_cast<std::int64_t>(blocks_.size());
+  FindGapEnds(bi);
   SplitIfNeeded(bi);
 }
 
@@ -224,8 +290,13 @@ void KeyStore::Remove(Key k) {
   if (b.keys.empty()) {
     blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(bi));
     touched_slots_ += static_cast<std::int64_t>(blocks_.size());
+    if (bi > 0) FindGapEnds(bi - 1);
     return;
   }
+  // The predecessor's gap grew: in this block, or the previous one's
+  // last when k was this block's first key.
+  FindGapEnds(bi);
+  if (pos == 0 && bi > 0) FindGapEnds(bi - 1);
   MergeIfUnderflow(bi);
 }
 
@@ -266,6 +337,8 @@ void KeyStore::SplitIfNeeded(std::size_t bi) {
                     static_cast<std::int64_t>(blocks_.size());
   blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(bi) + 1,
                  std::move(right));
+  FindGapEnds(bi);
+  FindGapEnds(bi + 1);
 }
 
 void KeyStore::MergeIfUnderflow(std::size_t bi) {
@@ -295,6 +368,7 @@ void KeyStore::MergeIfUnderflow(std::size_t bi) {
   left.keys.insert(left.keys.end(), right.keys.begin(), right.keys.end());
   touched_slots_ += moved + static_cast<std::int64_t>(blocks_.size());
   blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(c));
+  FindGapEnds(a);
   SplitIfNeeded(a);
 }
 

@@ -12,6 +12,9 @@
 //   - the insertion argmax reads a maximal gap as the space after a
 //     stored key (up to the next key, or the domain's end), with that
 //     key's record: the keys at or below it and the suffix above it;
+//     each block keeps its count of non-empty gaps and the first and
+//     last key followed by one, so a range bound over a block's gaps
+//     is O(1);
 //   - a prefix statistic is a directory search plus one block.
 //
 // sa_local holds int64 block-local suffix sums, kept only while the
@@ -38,17 +41,20 @@ class ThreadPool;
 
 /// \brief Sorted current keys in ~sqrt(n) blocks with block-local
 /// suffix key-sums, an exact rank/suffix directory and per-block gap
-/// counts. Never empty once built.
+/// counts and ends. Never empty once built.
 class KeyStore {
  public:
   struct Block {
     std::vector<Key> keys;  ///< Sorted slice of the current keys.
+    std::int64_t gaps = 0;  ///< Keys followed by a non-empty gap.
+    /// The first and the last of those keys, while gaps > 0.
+    std::size_t first_gap = 0;
+    std::size_t last_gap = 0;
+    std::int64_t count_before = 0;  ///< Keys stored in earlier blocks.
     /// sa_local[j] = sum over i > j of (keys[i] - shift); empty while
     /// with_sa() is off.
     std::vector<std::int64_t> sa_local;
-    std::int64_t count_before = 0;  ///< Keys stored in earlier blocks.
-    Int128 sum_after = 0;           ///< Shifted key-sum of later blocks.
-    std::int64_t gaps = 0;          ///< Keys followed by a non-empty gap.
+    Int128 sum_after = 0;  ///< Shifted key-sum of later blocks.
   };
 
   /// \brief Exact aggregates of the built keys (shifted sum, sum of
@@ -61,9 +67,10 @@ class KeyStore {
 
   /// \brief Builds the store over the sorted, unique, non-empty \p keys
   /// of a domain ending at \p domain_hi, one block per task on \p pool
-  /// when it is non-null (inline otherwise). The blocks are fixed by the
-  /// key count and their partial sums fold serially, so the store and
-  /// the returned totals are the same for every thread count.
+  /// when it runs more than one worker (inline otherwise). The blocks
+  /// are fixed by the key count and their partial sums fold serially,
+  /// so the store and the returned totals are the same for every thread
+  /// count.
   Totals Build(const std::vector<Key>& keys, Key shift, Key domain_hi,
                bool with_sa, ThreadPool* pool);
 
@@ -105,6 +112,15 @@ class KeyStore {
   std::int64_t CountGaps(std::size_t b, std::size_t begin,
                          std::size_t end) const;
 
+  /// \brief The first (last) of the keys [begin, end) of block \p b
+  /// followed by a non-empty gap; the range must hold one. Keys whose
+  /// gaps are all empty span as many keys as indices, so both are
+  /// binary searches.
+  std::size_t FirstGap(std::size_t b, std::size_t begin,
+                       std::size_t end) const;
+  std::size_t LastGap(std::size_t b, std::size_t begin,
+                      std::size_t end) const;
+
   /// \brief Non-empty gaps after stored keys, over all blocks.
   std::int64_t gap_count() const;
 
@@ -128,6 +144,8 @@ class KeyStore {
  private:
   void SplitIfNeeded(std::size_t b);
   void MergeIfUnderflow(std::size_t b);
+  /// Recomputes block \p b's first_gap and last_gap.
+  void FindGapEnds(std::size_t b);
   /// Recomputes block \p blk's local suffix sums and returns its
   /// shifted key-sum.
   std::int64_t FillSuffixSums(Block* blk) const;

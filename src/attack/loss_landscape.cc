@@ -252,8 +252,12 @@ constexpr double kNoBound = -std::numeric_limits<double>::infinity();
 constexpr std::size_t kBatchMinGaps = 32;
 
 /// Units per sub-block, the skeleton's second bound level. A group of
-/// at most this many gaps skips the level.
+/// at most this many units skips the level.
 constexpr std::int64_t kSubBlockUnits = 64;
+
+/// A key-store slice with fewer than one gap per this many keys is a
+/// gap-source group of its own (see CollectGapGroups).
+constexpr std::int64_t kSparseGapRatio = 8;
 
 /// Groups whose bound inputs the group-bound pass prefetches ahead of
 /// the one it bounds. The inputs sit in per-group heap arrays, so the
@@ -266,11 +270,10 @@ inline std::int64_t SubBlockCount(std::int64_t m) {
   return m > kSubBlockUnits ? (m + kSubBlockUnits - 1) / kSubBlockUnits : 0;
 }
 
-/// Sub-blocks of group \p g of a candidate source: a group of at most
-/// kSubBlockUnits gaps skips the level, however many units it spans.
+/// Sub-blocks of group \p g of a candidate source.
 template <typename Src>
 std::int64_t SubBlocksOf(const Src& src, std::size_t g) {
-  return src.Gaps(g) > kSubBlockUnits ? SubBlockCount(src.Units(g)) : 0;
+  return SubBlockCount(src.Units(g));
 }
 
 /// Forward-error arithmetic for the bounds (Higham, *Accuracy and
@@ -496,17 +499,26 @@ struct LossLandscape::BoundCtx {
     return Finish(TermUpper(x, DeltaCovLow(x, c, s)));
   }
 
-  /// Upper bound over every candidate in [xa, xb] whose dc lies above
-  /// the line through (xa, ta) with slope \p b.
-  double UpperLine(double xa, double xb, double ta, double b) const {
+  /// UpperLine's bound at the line's two ends, branch-free: the whole
+  /// bound when parabola > 0, so batched loops over it vectorize.
+  double UpperLineEnds(double xa, double xb, double ta, double b) const {
     const double span = xb - xa;
     const double tb = ta + b * span;  // The line at xb, rounded.
     const double e_tb = Gamma(5) * (AbsD(ta) + AbsD(b) * span);
-    const double t_a = TermUpper(xa, ta);
-    const double ub = Finish(std::max(t_a, TermUpper(xb, tb - e_tb)));
+    return Finish(std::max(TermUpper(xa, ta), TermUpper(xb, tb - e_tb)));
+  }
+
+  /// Upper bound over every candidate in [xa, xb] whose dc lies above
+  /// the line through (xa, ta) with slope \p b.
+  double UpperLine(double xa, double xb, double ta, double b) const {
+    const double ub = UpperLineEnds(xa, xb, ta, b);
     // An end that is not certified leaves no pruning; the convex
     // insertion parabola has no interior minimum of g.
     if (!(ub < none_ub) || parabola > 0) return ub;
+    const double span = xb - xa;
+    const double tb = ta + b * span;
+    const double e_tb = Gamma(5) * (AbsD(ta) + AbsD(b) * span);
+    const double t_a = TermUpper(xa, ta);
     // g' has the sign of L = 2b V - (Cr + line) V', linear in x. An
     // interior minimum needs L <= 0 at xa and L >= 0 at xb.
     auto l_at = [this, b](double x, double t, double e_t, double* err,
@@ -547,9 +559,15 @@ struct LossLandscape::BoundCtx {
   /// c. It lies above its tangent at xl with that slope, rounded down
   /// here.
   double UpperRange(double xl, double xh, double c, double s) const {
-    const double slope = an1 * c - asy;
-    const double slope_lo = slope - Gamma(4) * (n1 * AbsD(c) + sy);
-    return UpperLine(xl, xh, DeltaCovLow(xl, c, s), slope_lo);
+    return UpperLine(xl, xh, DeltaCovLow(xl, c, s), SlopeLow(c));
+  }
+  /// UpperRange when parabola > 0, branch-free.
+  double UpperRangeConvex(double xl, double xh, double c, double s) const {
+    return UpperLineEnds(xl, xh, DeltaCovLow(xl, c, s), SlopeLow(c));
+  }
+  /// The tangent's slope n1 c - SY, rounded down.
+  double SlopeLow(double c) const {
+    return an1 * c - asy - Gamma(4) * (n1 * AbsD(c) + sy);
   }
 
   /// The run bound of the key source: over every stored key between
@@ -683,14 +701,15 @@ void LossLandscape::PoisonArgmaxScratchForTesting() const {
 // ---------------------------------------------------------------------
 // The argmax skeleton. Insertion and removal run one branch-and-bound
 // scan over a *candidate source*: groups of consecutive candidate units
-// in key order (the units of one key-store block). A source supplies
-// the units and gaps of a group, whether a run of its units holds no
-// gap, the bound of a group, the bound of any run of a group's units
-// (the sub-block level), the per-unit bounds of such a run (-inf for a
-// unit with no admissible candidate; a group or run with no gap has
-// bound -inf and costs no bound evaluation) and the exact evaluation of
-// one unit; the skeleton owns the walk, the seeding, the pruning and
-// the fan-out. The counters count gaps.
+// in key order (the keys of one key-store block, or the gaps after the
+// keys of a run of block slices). A source supplies the units and gaps
+// of a group, the bound of a group, the bounds of its 64-unit windows
+// (the sub-block level), the per-unit bounds of a window with its gap
+// count (-inf for a unit with no admissible candidate; a window with no
+// gap has bound -inf and costs no bound evaluation) and the exact
+// evaluation of one unit or of a window's units (O(1) for a window
+// with no gap); the skeleton owns the walk, the seeding, the pruning
+// and the fan-out. The counters count gaps.
 // Sources are plain structs passed as template arguments, so the bound
 // kernels inline into the scan loops.
 // ---------------------------------------------------------------------
@@ -754,15 +773,12 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
     EnsureScratchSize(&argmax_bounds_, 2 * stride, &scratch_reallocs_);
     EnsureScratchSize(&argmax_sub_bounds_, 2 * sub_stride,
                       &scratch_reallocs_);
-    EnsureScratchSize(&argmax_soa_, Src::kSoaLanes * stride,
+    EnsureScratchSize(&argmax_soa_,
+                      Src::kSoaLanes * std::max<std::size_t>(stride, groups),
                       &scratch_reallocs_);
     double* group_bound = argmax_tier_bounds_.data();
-    for (std::size_t g = 0; g < std::min(groups, kPrefetchGroups); ++g) {
-      src.Prefetch(g);
-    }
+    src.GroupBounds(group_bound, argmax_soa_.data());
     for (std::size_t g = 0; g < groups; ++g) {
-      if (g + kPrefetchGroups < groups) src.Prefetch(g + kPrefetchGroups);
-      group_bound[g] = src.GroupBound(g);
       stats->bound_evals += group_bound[g] != kNoBound ? 1 : 0;
     }
 
@@ -780,7 +796,8 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
       const std::int64_t subs = SubBlocksOf(src, seed_g);
       const double* seed_subs = argmax_sub_bounds_.data();
       const std::int64_t first_sb =
-          SubBlockBounds(src, seed_g, argmax_sub_bounds_.data(), stats);
+          SubBlockBounds(src, seed_g, argmax_sub_bounds_.data(),
+                         argmax_soa_.data(), stats);
       auto& staged = PrepareScratch(&argmax_seed_staged_,
                                     static_cast<std::size_t>(subs));
       staged.assign(static_cast<std::size_t>(subs), 0);
@@ -942,16 +959,15 @@ LossLandscape::ArgmaxFold LossLandscape::RunArgmax(const Src& src,
 
 template <typename Src>
 std::int64_t LossLandscape::SubBlockBounds(const Src& src, std::size_t g,
-                                           double* out,
+                                           double* out, double* soa,
                                            ArgmaxStats* stats) const {
-  const std::int64_t m = src.Units(g);
   const std::int64_t subs = SubBlocksOf(src, g);
+  if (subs == 0) return 0;
+  src.SubBounds(g, out, soa);
   for (std::int64_t sb = 0; sb < subs; ++sb) {
-    const std::int64_t begin = sb * kSubBlockUnits;
-    out[sb] = src.SubBound(g, begin, std::min(m, begin + kSubBlockUnits));
     stats->bound_evals += out[sb] != kNoBound ? 1 : 0;
   }
-  return subs == 0 ? 0 : std::max_element(out, out + subs) - out;
+  return std::max_element(out, out + subs) - out;
 }
 
 template <typename Src>
@@ -968,13 +984,12 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
   };
 
   if (mode == ScanMode::kExhaustive) {
-    // Every unit exactly, but a 64-unit run with no gap in O(1).
+    // Every unit exactly, one 64-unit run at a time.
     for (std::size_t g = chunk.first; g < chunk.end; ++g) {
       const std::int64_t m = src.Units(g);
       for (std::int64_t begin = 0; begin < m; begin += kSubBlockUnits) {
-        const std::int64_t end = std::min(m, begin + kSubBlockUnits);
-        if (src.Gapless(g, begin, end)) continue;
-        for (std::int64_t j = begin; j < end; ++j) src.Exact(g, j, fold, stats);
+        src.ExactRun(g, begin, std::min(m, begin + kSubBlockUnits), fold,
+                     stats);
       }
     }
     return;
@@ -1010,29 +1025,29 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
       continue;
     }
     stats->invalidated_gaps += gaps;
+    // The gaps of every scored sub-block come off; the rest lie in the
+    // pruned ones.
+    std::int64_t unscored = gaps;
     const bool seed_group = g == seed_g;
     const std::int64_t subs = SubBlocksOf(src, g);
     const double* sub_bound = seed_subs;
     if (!seed_group && subs > 0) {
-      SubBlockBounds(src, g, sub_scratch, stats);
+      SubBlockBounds(src, g, sub_scratch, soa, stats);
       sub_bound = sub_scratch;
     }
     for (std::int64_t sb = 0; sb < std::max<std::int64_t>(subs, 1); ++sb) {
       const std::int64_t begin = sb * kSubBlockUnits;
       const std::int64_t end = subs == 0 ? m : std::min(m, begin + kSubBlockUnits);
-      if (subs > 0 && below_best(sub_bound[sb])) {
-        if (sub_bound[sb] != kNoBound) {
-          stats->pruned_gaps += src.Gaps(g, begin, end);
-        }
-        continue;
-      }
+      if (subs > 0 && below_best(sub_bound[sb])) continue;
       // Unit bounds indexed by unit: the seed group's staged ones, or
       // this run's, fresh in the slot's scratch.
       const double* unit_bound = seed_bounds;
       if (!seed_group ||
           (subs > 0 && !argmax_seed_staged_[static_cast<std::size_t>(sb)])) {
-        src.UnitBounds(g, begin, end, scratch, soa, stats);
+        unscored -= src.UnitBounds(g, begin, end, scratch, soa, stats);
         unit_bound = scratch - begin;
+      } else {
+        unscored -= subs == 0 ? gaps : src.Gaps(g, begin, end);
       }
       for (std::int64_t j = begin; j < end; ++j) {
         const double b = unit_bound[j];
@@ -1044,6 +1059,7 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
         src.Exact(g, j, fold, stats);
       }
     }
+    stats->pruned_gaps += unscored;
   }
 }
 
@@ -1051,44 +1067,71 @@ void LossLandscape::ScanArgmaxChunk(const Src& src, ScanMode mode,
 /// the next key (or the domain's end), offered at its two endpoints
 /// (Theorem 2) minus the excluded keys; after a key whose successor is
 /// adjacent the gap is empty and the unit holds no candidate. A group
-/// is the in-range slice of one key-store block. The record of the gap
-/// after key i of a block is the key's own: count_before + i + 1 keys
-/// below it and the suffix sa_local[i] + sum_after above it, both
+/// is a run of consecutive in-range block slices that hold gaps, its
+/// units their keys in order. Each slice starts at a multiple of
+/// kSubBlockUnits in its group's units, so a window of that many units
+/// (a sub-block) covers one slice's keys, and the units between a
+/// slice's end and the next window hold no candidate. The record of the
+/// gap after key i of a block is the key's own: count_before + i + 1
+/// keys below it and the suffix sa_local[i] + sum_after above it, both
 /// shifted into the snapshot by its rank_adj and prefix_adj.
 struct LossLandscape::GapSource {
   static constexpr std::size_t kSoaLanes = 5;
 
   const LossLandscape& ll;
   const GapSnapshot& snap;
+  const std::vector<GapSlice>& slices;
   const std::vector<GapGroup>& groups;
   const BoundCtx& ctx;
   const RankMoments& mom;  // Of snap.agg.n + 1 points.
   const std::unordered_set<Key>* excluded;
-  std::int64_t total;  // Units over all groups.
+  std::int64_t total;      // Units over all groups.
+  std::int64_t max_units;  // Units of the largest group.
 
   std::size_t num_groups() const { return groups.size(); }
-  std::int64_t Units(std::size_t g) const {
-    return static_cast<std::int64_t>(groups[g].end - groups[g].begin);
-  }
+  std::int64_t Units(std::size_t g) const { return groups[g].units; }
   std::int64_t Gaps(std::size_t g) const { return groups[g].gaps; }
   std::int64_t Gaps(std::size_t g, std::int64_t begin,
                     std::int64_t end) const {
-    return ll.store_.CountGaps(groups[g].block, Index(g, begin),
-                               Index(g, end));
+    const Piece p = Window(g, begin, end);
+    return p.s == nullptr ? 0 : ll.store_.CountGaps(p.s->block, p.i0, p.i1);
   }
-  std::size_t MaxUnits() const {
-    return static_cast<std::size_t>(ll.store_.block_cap());
+  std::size_t MaxUnits() const { return static_cast<std::size_t>(max_units); }
+
+  /// The keys [i0, i1) of slice *s's block that units [begin, end) of
+  /// one window of a group cover, from unit begin on; s is null when
+  /// the window lies past its slice's end.
+  struct Piece {
+    const GapSlice* s = nullptr;
+    std::size_t i0 = 0;
+    std::size_t i1 = 0;
+  };
+  Piece Window(std::size_t g, std::int64_t begin, std::int64_t end) const {
+    const auto first = slices.begin() + static_cast<std::ptrdiff_t>(
+                                            groups[g].first);
+    const auto last = slices.begin() + static_cast<std::ptrdiff_t>(
+                                           groups[g].end);
+    const GapSlice& s =
+        *(std::upper_bound(first + 1, last, begin,
+                           [](std::int64_t u, const GapSlice& sl) {
+                             return u < sl.first_unit;
+                           }) -
+          1);
+    const auto len = static_cast<std::int64_t>(s.end - s.begin);
+    const std::int64_t lo = begin - s.first_unit;
+    const std::int64_t hi = std::min(end - s.first_unit, len);
+    Piece p;
+    if (lo >= hi) return p;
+    p.s = &s;
+    p.i0 = s.begin + static_cast<std::size_t>(lo);
+    p.i1 = s.begin + static_cast<std::size_t>(hi);
+    return p;
   }
-  const KeyStore::Block& Blk(std::size_t g) const {
-    return ll.store_.block(groups[g].block);
+
+  Key GapHi(const GapSlice& s, std::size_t i) const {
+    return ll.store_.GapHi(s.block, i);
   }
-  /// Block index of unit j of group g.
-  std::size_t Index(std::size_t g, std::int64_t j) const {
-    return groups[g].begin + static_cast<std::size_t>(j);
-  }
-  Key GapHi(std::size_t g, std::size_t i) const {
-    return ll.store_.GapHi(groups[g].block, i);
-  }
+
   bool Excluded(Key k) const {
     return excluded != nullptr && excluded->count(k) != 0;
   }
@@ -1100,75 +1143,142 @@ struct LossLandscape::GapSource {
     return blk.sum_after + snap.agg.sum_k + snap.prefix_adj - ll.sum_k_;
   }
 
-  /// The covariance left-tangent bound (BoundCtx::UpperRange) over the
-  /// keys [keys[i] + 1, hi], from the record of key i of group \p g. It
-  /// ignores `excluded`: an excluded endpoint only makes it an
-  /// admissible over-estimate.
-  double RangeBound(std::size_t g, std::size_t i, Key hi) const {
-    const KeyStore::Block& blk = Blk(g);
-    return ctx.UpperRange(
-        static_cast<double>(blk.keys[i] - ll.shift_ + 1),
-        static_cast<double>(hi - ll.shift_),
-        static_cast<double>(blk.count_before + static_cast<Rank>(i) +
-                            CountOff() + 1),
-        static_cast<double>(static_cast<Int128>(blk.sa_local[i]) +
-                            SuffixOff(blk)));
+  /// True when the gaps after the keys of \p p are all empty (or it
+  /// covers none): those keys and the key after them are consecutive,
+  /// so their key span equals their index span.
+  bool Gapless(const Piece& p) const {
+    if (p.s == nullptr) return true;
+    return GapHi(*p.s, p.i1 - 1) - ll.store_.block(p.s->block).keys[p.i0] ==
+           static_cast<Key>(p.i1 - 1 - p.i0);
   }
 
-  /// Starts loading the keys and records GroupBound(g) reads.
-  void Prefetch(std::size_t g) const {
-    const KeyStore::Block& blk = Blk(g);
-    __builtin_prefetch(&blk.keys[groups[g].begin]);
-    __builtin_prefetch(&blk.keys[groups[g].end - 1]);
-    __builtin_prefetch(&blk.sa_local[groups[g].begin]);
-  }
-
-  /// True when the gaps after keys [begin, end) of group \p g are all
-  /// empty: those keys and the key after them are consecutive, so their
-  /// key span equals their index span.
-  bool Gapless(std::size_t g, std::int64_t begin, std::int64_t end) const {
-    const std::size_t first = Index(g, begin);
-    const std::size_t last = Index(g, end - 1);
-    return GapHi(g, last) - Blk(g).keys[first] ==
-           static_cast<Key>(last - first);
-  }
-
-  /// Over the gaps after keys [begin, end) of group \p g; -inf with no
-  /// bound evaluation when they are all empty.
-  double SubBound(std::size_t g, std::int64_t begin, std::int64_t end) const {
-    if (Gapless(g, begin, end)) return kNoBound;
-    return RangeBound(g, Index(g, begin), GapHi(g, Index(g, end - 1)));
-  }
-  double GroupBound(std::size_t g) const { return SubBound(g, 0, Units(g)); }
-
-  /// max(bound(lo), bound(hi)) per gap of units [begin, end) over its
-  /// non-excluded endpoints (-inf for an empty gap), into
-  /// out[0, end - begin), one 64-unit run at a time: a run with no gap
-  /// only fills its -inf bounds.
-  void UnitBounds(std::size_t g, std::int64_t begin, std::int64_t end,
-                  double* out, double* soa, ArgmaxStats* stats) const {
-    for (std::int64_t first = begin; first < end; first += kSubBlockUnits) {
-      const std::int64_t last = std::min(end, first + kSubBlockUnits);
-      double* run_out = out + (first - begin);
-      if (Gapless(g, first, last)) {
-        std::fill(run_out, run_out + (last - first), kNoBound);
-      } else {
-        RunBounds(g, first, last, run_out, soa, stats);
+  /// The bound of every window of group \p g over its gaps (the range
+  /// bound from its first gap to its last), into out[0, windows): -inf,
+  /// with no bound evaluation, for a window whose gaps are all empty. A
+  /// slice's windows follow one another, and the next slice starts at
+  /// the next window. The inputs of the other windows are packed into
+  /// \p soa (kSoaLanes per window), so the convex case's bounds
+  /// vectorize.
+  void SubBounds(std::size_t g, double* out, double* soa) const {
+    const std::int64_t windows = SubBlockCount(groups[g].units);
+    double* x_lo = soa;
+    double* x_hi = soa + windows;
+    double* c1 = soa + 2 * windows;
+    double* sv = soa + 3 * windows;
+    double* at = soa + 4 * windows;  // The window of each packed lane.
+    std::int64_t live = 0;
+    const Key shift = ll.shift_;
+    for (std::size_t si = groups[g].first; si < groups[g].end; ++si) {
+      const GapSlice& s = slices[si];
+      const KeyStore::Block& blk = ll.store_.block(s.block);
+      const Key* keys = blk.keys.data();
+      const std::int64_t* sal = blk.sa_local.data();
+      const Rank c0 = blk.count_before + CountOff() + 1;
+      // Inside the magnitude guard every snapshot suffix fits int64.
+      const auto sa_off = static_cast<std::int64_t>(SuffixOff(blk));
+      // The gap after the block's last key ends at the store's next key.
+      const std::size_t size = blk.keys.size();
+      const Key last_hi = GapHi(s, size - 1);
+      std::int64_t w = s.first_unit / kSubBlockUnits;
+      for (std::size_t i0 = s.begin; i0 < s.end; i0 += kSubBlockUnits, ++w) {
+        const std::size_t i1 = std::min(s.end, i0 + kSubBlockUnits);
+        const Key hi = i1 < size ? keys[i1] - 1 : last_hi;
+        out[w] = kNoBound;
+        if (hi - keys[i0] == static_cast<Key>(i1 - 1 - i0)) continue;
+        // From the window's first gap to its last: the keys around them
+        // hold no candidate.
+        const std::size_t f = ll.store_.FirstGap(s.block, i0, i1);
+        const std::size_t l = ll.store_.LastGap(s.block, f, i1);
+        x_lo[live] = static_cast<double>(keys[f] - shift + 1);
+        x_hi[live] = static_cast<double>(GapHi(s, l) - shift);
+        c1[live] = static_cast<double>(c0 + static_cast<Rank>(f));
+        sv[live] = static_cast<double>(sal[f] + sa_off);
+        at[live] = static_cast<double>(w);
+        ++live;
       }
+    }
+    const BoundCtx c = ctx;  // Local copy: no aliasing against the lanes.
+    if (c.parabola > 0) {
+      for (std::int64_t k = 0; k < live; ++k) {
+        x_lo[k] = c.UpperRangeConvex(x_lo[k], x_hi[k], c1[k], sv[k]);
+      }
+    } else {
+      for (std::int64_t k = 0; k < live; ++k) {
+        x_lo[k] = c.UpperRange(x_lo[k], x_hi[k], c1[k], sv[k]);
+      }
+    }
+    for (std::int64_t k = 0; k < live; ++k) {
+      out[static_cast<std::size_t>(at[k])] = x_lo[k];
     }
   }
 
-  /// UnitBounds of one run. A run of at least kBatchMinGaps units with
-  /// no exclusions takes the batched kernel: a scalar pass unpacks the
-  /// records of the non-empty gaps into \p soa, packed, then the
-  /// branch-free BoundCtx::Upper auto-vectorizes over them and a last
-  /// pass scatters the results. Both paths give the same values and
-  /// count the same bound_evals.
-  void RunBounds(std::size_t g, std::int64_t begin, std::int64_t end,
-                 double* out, double* soa, ArgmaxStats* stats) const {
-    const KeyStore::Block& blk = Blk(g);
-    const std::size_t i0 = Index(g, begin);
-    const auto m = static_cast<std::size_t>(end - begin);
+  /// Over every gap of the group (each of its slices holds one): the
+  /// covariance left-tangent bound (BoundCtx::UpperRange) from its first
+  /// candidate's record to its last candidate. Range bounds ignore
+  /// `excluded`: an excluded endpoint only makes them admissible
+  /// over-estimates.
+  double GroupBound(std::size_t g) const {
+    const GapSlice& first = slices[groups[g].first];
+    return ctx.UpperRange(first.x_lo, slices[groups[g].end - 1].x_hi,
+                          first.c, first.s);
+  }
+  /// GroupBound of every group, into out; the convex case vectorizes.
+  void GroupBounds(double* out, double* /*soa*/) const {
+    const BoundCtx c = ctx;  // Local copy: no aliasing against out.
+    const GapSlice* sl = slices.data();
+    const GapGroup* gr = groups.data();
+    const std::size_t count = groups.size();
+    if (c.parabola > 0) {
+      for (std::size_t g = 0; g < count; ++g) {
+        const GapSlice& first = sl[gr[g].first];
+        out[g] = c.UpperRangeConvex(first.x_lo, sl[gr[g].end - 1].x_hi,
+                                    first.c, first.s);
+      }
+    } else {
+      for (std::size_t g = 0; g < count; ++g) out[g] = GroupBound(g);
+    }
+  }
+
+  /// max(bound(lo), bound(hi)) per gap of units [begin, end) (begin a
+  /// window's first unit) over its non-excluded endpoints (-inf for an
+  /// empty gap and past a slice's end), into out[0, end - begin), one
+  /// window at a time: a window with no gap only fills its -inf bounds.
+  /// Returns the number of gaps there.
+  std::int64_t UnitBounds(std::size_t g, std::int64_t begin, std::int64_t end,
+                          double* out, double* soa, ArgmaxStats* stats) const {
+    std::int64_t gaps = 0;
+    for (std::int64_t first = begin; first < end; first += kSubBlockUnits) {
+      const std::int64_t last = std::min(end, first + kSubBlockUnits);
+      double* run_out = out + (first - begin);
+      Piece p = Window(g, first, last);
+      if (Gapless(p)) {
+        std::fill(run_out, run_out + (last - first), kNoBound);
+        continue;
+      }
+      // Only the keys from the first gap to the last are scored.
+      const std::size_t i0 = p.i0;
+      p.i0 = ll.store_.FirstGap(p.s->block, i0, p.i1);
+      p.i1 = ll.store_.LastGap(p.s->block, p.i0, p.i1) + 1;
+      const auto lead = static_cast<std::int64_t>(p.i0 - i0);
+      const auto tail = static_cast<std::int64_t>(p.i1 - i0);
+      std::fill(run_out, run_out + lead, kNoBound);
+      gaps += RunBounds(p, run_out + lead, soa, stats);
+      std::fill(run_out + tail, run_out + (last - first), kNoBound);
+    }
+    return gaps;
+  }
+
+  /// UnitBounds of one piece; returns its gaps. A piece of at least
+  /// kBatchMinGaps keys with no exclusions takes the batched kernel: a
+  /// scalar pass unpacks the records of the non-empty gaps into \p soa,
+  /// packed, then the branch-free BoundCtx::Upper auto-vectorizes over
+  /// them and a last pass scatters the results. Both paths give the
+  /// same values and count the same bound_evals.
+  std::int64_t RunBounds(const Piece& p, double* out, double* soa,
+                         ArgmaxStats* stats) const {
+    const KeyStore::Block& blk = ll.store_.block(p.s->block);
+    const std::size_t i0 = p.i0;
+    const std::size_t m = p.i1 - p.i0;
     const Key* keys = blk.keys.data() + i0;
     const std::int64_t* sal = blk.sa_local.data() + i0;
     const Key shift = ll.shift_;
@@ -1176,7 +1286,7 @@ struct LossLandscape::GapSource {
         blk.count_before + static_cast<Rank>(i0) + CountOff() + 1);
     // Inside the magnitude guard every snapshot suffix fits int64.
     const auto sa_off = static_cast<std::int64_t>(SuffixOff(blk));
-    const Key last_hi = GapHi(g, i0 + m - 1);
+    const Key last_hi = GapHi(*p.s, i0 + m - 1);
     auto hi_of = [keys, m, last_hi](std::size_t j) {
       return j + 1 < m ? keys[j + 1] - 1 : last_hi;
     };
@@ -1210,12 +1320,14 @@ struct LossLandscape::GapSource {
       for (std::size_t k = 0; k < live; ++k) {
         out[static_cast<std::size_t>(at[k])] = x_lo[k];
       }
-      return;
+      return static_cast<std::int64_t>(live);
     }
+    std::int64_t gaps = 0;
     for (std::size_t j = 0; j < m; ++j) {
       const Key hi = hi_of(j);
       double bnd = kNoBound;
       if (hi > keys[j]) {
+        ++gaps;
         const Key lo = keys[j] + 1;
         const double c1 = c0 + static_cast<double>(j);
         const double s = static_cast<double>(sal[j] + sa_off);
@@ -1231,13 +1343,29 @@ struct LossLandscape::GapSource {
       }
       out[j] = bnd;
     }
+    return gaps;
   }
 
   void Exact(std::size_t g, std::int64_t j, ArgmaxFold* fold,
              ArgmaxStats* stats) const {
-    const KeyStore::Block& blk = Blk(g);
-    const std::size_t i = Index(g, j);
-    const Key hi = GapHi(g, i);
+    const Piece p = Window(g, j, j + 1);
+    if (p.s != nullptr) ExactAt(*p.s, p.i0, fold, stats);
+  }
+  /// Exact of every unit of one window: in O(1) when it holds no gap,
+  /// else the keys from its first gap to its last.
+  void ExactRun(std::size_t g, std::int64_t begin, std::int64_t end,
+                ArgmaxFold* fold, ArgmaxStats* stats) const {
+    const Piece p = Window(g, begin, end);
+    if (Gapless(p)) return;
+    const std::size_t first = ll.store_.FirstGap(p.s->block, p.i0, p.i1);
+    const std::size_t last = ll.store_.LastGap(p.s->block, first, p.i1);
+    for (std::size_t i = first; i <= last; ++i) ExactAt(*p.s, i, fold, stats);
+  }
+  /// The candidates of the gap after key i of slice \p s's block.
+  void ExactAt(const GapSlice& s, std::size_t i, ArgmaxFold* fold,
+               ArgmaxStats* stats) const {
+    const KeyStore::Block& blk = ll.store_.block(s.block);
+    const Key hi = GapHi(s, i);
     if (hi <= blk.keys[i]) return;  // An empty gap.
     const Rank count_less =
         blk.count_before + static_cast<Rank>(i) + CountOff();
@@ -1347,14 +1475,15 @@ Result<LossLandscape::Candidate> LossLandscape::ScanGaps(
     if (argmax.prune) local.fallback_rounds = 1;
     ForEachGapInRange(snap.lo, snap.hi, offer_gap);
   } else {
-    const std::int64_t units = CollectGapGroups(snap.lo, snap.hi);
+    const GapUnits units = CollectGapGroups(snap);
     const BoundCtx ctx = GapBoundCtx(snap, mom);
     // With no unit there is nothing to bound.
     const ScanMode mode =
-        PickScanMode(argmax, ctx.usable || units == 0, &local);
-    fold = RunArgmax(
-        GapSource{*this, snap, argmax_gap_groups_, ctx, mom, excluded, units},
-        mode, pool, argmax.fan_out_units, &local);
+        PickScanMode(argmax, ctx.usable || units.total == 0, &local);
+    fold = RunArgmax(GapSource{*this, snap, argmax_gap_slices_,
+                               argmax_gap_groups_, ctx, mom, excluded,
+                               units.total, units.max},
+                     mode, pool, argmax.fan_out_units, &local);
     // The gap below the smallest key lies in no block: it is scored
     // exactly beside the skeleton.
     if (snap.lo <= snap.hi && snap.lo < min_key()) {
@@ -1370,28 +1499,76 @@ Result<LossLandscape::Candidate> LossLandscape::ScanGaps(
   return fold.best;
 }
 
-std::int64_t LossLandscape::CollectGapGroups(Key lo, Key hi) const {
+LossLandscape::GapUnits LossLandscape::CollectGapGroups(
+    const GapSnapshot& snap) const {
+  const Key lo = snap.lo;
+  const Key hi = snap.hi;
   // The units are the gaps after the keys k with lo - 1 <= k < hi: lo - 1
   // and hi + 1 are stored keys or lie outside the domain, so the range
   // never clips a gap, and only the two edge blocks are sliced. A slice
   // with no gap holds no candidate and joins no group.
+  auto& slices = PrepareScratch(&argmax_gap_slices_, store_.block_count());
   auto& groups = PrepareScratch(&argmax_gap_groups_, store_.block_count());
-  if (lo > hi) return 0;
+  GapUnits units;
+  if (lo > hi) return units;
   const KeyStore::Pos first =
       lo > domain_.lo ? store_.Locate(lo - 1) : KeyStore::Pos{};
   const KeyStore::Pos end = store_.Locate(hi);
-  std::int64_t units = 0;
+  // A block's records shift into the snapshot by this much on top of its
+  // sum_after; inside the magnitude guard every suffix fits int64.
+  const Int128 suffix_off = snap.agg.sum_k + snap.prefix_adj - sum_k_;
+  std::int64_t gaps = 0;
   for (std::size_t b = first.block; b <= end.block; ++b) {
     const KeyStore::Block& blk = store_.block(b);
     const std::size_t begin = b == first.block ? first.index : 0;
     const std::size_t stop = b == end.block ? end.index : blk.keys.size();
     if (begin >= stop) continue;
     const bool whole = begin == 0 && stop == blk.keys.size();
-    const std::int64_t gaps =
-        whole ? blk.gaps : store_.CountGaps(b, begin, stop);
-    if (gaps == 0) continue;
-    groups.push_back(GapGroup{b, begin, stop, gaps});
-    units += static_cast<std::int64_t>(stop - begin);
+    const std::int64_t g = whole ? blk.gaps : store_.CountGaps(b, begin, stop);
+    if (g == 0) continue;
+    // The range bound inputs: the first gap's record and the last gap's
+    // end (both stored for a whole block).
+    const std::size_t f =
+        whole ? blk.first_gap : store_.FirstGap(b, begin, stop);
+    const std::size_t l = whole ? blk.last_gap : store_.LastGap(b, begin, stop);
+    GapSlice sl{b, begin, stop, g, 0};
+    sl.x_lo = static_cast<double>(blk.keys[f] - shift_ + 1);
+    sl.x_hi = static_cast<double>(store_.GapHi(b, l) - shift_);
+    sl.c = static_cast<double>(blk.count_before + static_cast<Rank>(f) + 2 -
+                               snap.rank_adj);
+    sl.s = static_cast<double>(
+        blk.sa_local[f] +
+        static_cast<std::int64_t>(blk.sum_after + suffix_off));
+    slices.push_back(sl);
+    gaps += g;
+  }
+  // Groups of up to ~sqrt(G) gaps: one block per group when every key
+  // is followed by a gap, several when blocks hold fewer. A range bound
+  // is loose across keys that hold no candidate, so a slice whose keys
+  // are mostly gapless (dense runs) is a group of its own, bounded from
+  // its first gap to its last.
+  auto target =
+      static_cast<std::int64_t>(std::sqrt(static_cast<double>(gaps)));
+  while (target * target < gaps) ++target;
+  bool open = false;
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    GapSlice& sl = slices[i];
+    const auto keys = static_cast<std::int64_t>(sl.end - sl.begin);
+    const bool sparse = kSparseGapRatio * sl.gaps < keys;
+    if (!open || sparse || groups.back().gaps + sl.gaps > target) {
+      groups.push_back(GapGroup{i, i, 0, 0});
+    }
+    GapGroup& grp = groups.back();
+    sl.first_unit =
+        (grp.units + kSubBlockUnits - 1) / kSubBlockUnits * kSubBlockUnits;
+    grp.end = i + 1;
+    grp.units = sl.first_unit + keys;
+    grp.gaps += sl.gaps;
+    open = !sparse;
+  }
+  for (const GapGroup& grp : groups) {
+    units.total += grp.units;
+    units.max = std::max(units.max, grp.units);
   }
   return units;
 }
@@ -1412,9 +1589,9 @@ double LossLandscape::MaxShiftedMagnitude(
 
 LossLandscape::BoundCtx LossLandscape::GapBoundCtx(
     const GapSnapshot& snap, const RankMoments& mom) const {
-  const std::vector<GapGroup>& groups = argmax_gap_groups_;
-  if (groups.empty()) return BoundCtx{};
-  const GapGroup& mid = groups[groups.size() / 2];
+  const std::vector<GapSlice>& slices = argmax_gap_slices_;
+  if (slices.empty()) return BoundCtx{};
+  const GapSlice& mid = slices[slices.size() / 2];
   const KeyStore::Block& blk = store_.block(mid.block);
   BoundCtx::Ref ref;
   ref.x = static_cast<Int128>(blk.keys[mid.begin]) + 1 - shift_;
@@ -1467,7 +1644,6 @@ struct LossLandscape::KeySource {
   std::int64_t Gaps(std::size_t, std::int64_t begin, std::int64_t end) const {
     return end - begin;
   }
-  bool Gapless(std::size_t, std::int64_t, std::int64_t) const { return false; }
   std::size_t MaxUnits() const {
     return static_cast<std::size_t>(ll.store_.block_cap());
   }
@@ -1497,6 +1673,13 @@ struct LossLandscape::KeySource {
                             blk.sum_after));
   }
   double GroupBound(std::size_t b) const { return SubBound(b, 0, Units(b)); }
+  /// SubBound of every 64-key run of block \p b, into out.
+  void SubBounds(std::size_t b, double* out, double* /*soa*/) const {
+    const std::int64_t m = Units(b);
+    for (std::int64_t begin = 0; begin < m; begin += kSubBlockUnits) {
+      *out++ = SubBound(b, begin, std::min(m, begin + kSubBlockUnits));
+    }
+  }
 
   /// Starts loading the end records GroupBound(b) reads.
   void Prefetch(std::size_t b) const {
@@ -1506,12 +1689,25 @@ struct LossLandscape::KeySource {
     __builtin_prefetch(blk.sa_local.data());
     __builtin_prefetch(&blk.sa_local.back());
   }
+  /// GroupBound of every block, into out, prefetching ahead.
+  void GroupBounds(double* out, double* /*soa*/) const {
+    const std::size_t count = num_groups();
+    for (std::size_t b = 0; b < std::min(count, kPrefetchGroups); ++b) {
+      Prefetch(b);
+    }
+    for (std::size_t b = 0; b < count; ++b) {
+      if (b + kPrefetchGroups < count) Prefetch(b + kPrefetchGroups);
+      out[b] = GroupBound(b);
+    }
+  }
 
   /// Per-key bounds of keys [begin, end) straight off the block arrays;
   /// the rank/suffix reconstruction adds two loop-invariant scalars, so
-  /// the allowed-free loop auto-vectorizes.
-  void UnitBounds(std::size_t b, std::int64_t begin, std::int64_t end,
-                  double* out, double* /*soa*/, ArgmaxStats* stats) const {
+  /// the allowed-free loop auto-vectorizes. Every key is a candidate
+  /// unit, so all end - begin count.
+  std::int64_t UnitBounds(std::size_t b, std::int64_t begin, std::int64_t end,
+                          double* out, double* /*soa*/,
+                          ArgmaxStats* stats) const {
     const KeyStore::Block& blk = block(b);
     const Key* keys = blk.keys.data() + begin;
     const std::int64_t* sal = blk.sa_local.data() + begin;
@@ -1528,7 +1724,7 @@ struct LossLandscape::KeySource {
                          static_cast<double>(sal[j] + sa_off));
       }
       stats->bound_evals += static_cast<std::int64_t>(m);
-      return;
+      return end - begin;
     }
     for (std::size_t j = 0; j < m; ++j) {
       if (!Allowed(keys[j])) {
@@ -1540,8 +1736,13 @@ struct LossLandscape::KeySource {
                          static_cast<double>(sal[j] + sa_off));
       ++stats->bound_evals;
     }
+    return end - begin;
   }
 
+  void ExactRun(std::size_t b, std::int64_t begin, std::int64_t end,
+                ArgmaxFold* fold, ArgmaxStats* stats) const {
+    for (std::int64_t j = begin; j < end; ++j) Exact(b, j, fold, stats);
+  }
   void Exact(std::size_t b, std::int64_t j, ArgmaxFold* fold,
              ArgmaxStats* stats) const {
     const KeyStore::Block& blk = block(b);
@@ -1617,11 +1818,7 @@ Status LossLandscape::AuditArgmaxBoundsForTesting(
       const std::int64_t m = src.Units(g);
       const double group_bound = src.GroupBound(g);
       const std::int64_t count = SubBlocksOf(src, g);
-      for (std::int64_t sb = 0; sb < count; ++sb) {
-        const std::int64_t begin = sb * kSubBlockUnits;
-        subs[static_cast<std::size_t>(sb)] =
-            src.SubBound(g, begin, std::min(m, begin + kSubBlockUnits));
-      }
+      if (count > 0) src.SubBounds(g, subs.data(), soa.data());
       src.UnitBounds(g, 0, m, units.data(), soa.data(), &stats);
       for (std::int64_t j = 0; j < m; ++j) {
         ArgmaxFold fold;
@@ -1663,12 +1860,13 @@ Status LossLandscape::AuditArgmaxBoundsForTesting(
     return Status::FailedPrecondition("insertion bounds not admissible");
   }
   const RankMoments mom = RankMoments::Of(snap.agg.n + 1);
-  const std::int64_t units = CollectGapGroups(snap.lo, snap.hi);
+  const GapUnits units = CollectGapGroups(snap);
   const BoundCtx ctx = GapBoundCtx(snap, mom);
   if (!ctx.usable) {
     return Status::FailedPrecondition("insertion bounds not admissible");
   }
-  audit(GapSource{*this, snap, argmax_gap_groups_, ctx, mom, nullptr, units});
+  audit(GapSource{*this, snap, argmax_gap_slices_, argmax_gap_groups_, ctx,
+                  mom, nullptr, units.total, units.max});
   return Status::OK();
 }
 

@@ -18,9 +18,10 @@
 // Invariants of the incremental representation:
 //  - the current keys live in one KeyStore: sorted ~sqrt(n)-key blocks
 //    with block-local int64 suffix sums (kept while PruneDomainOk()
-//    holds) and a directory of exact per-block ranks (count_before) and
-//    Int128 suffix sums (sum_after). A commit touches one block plus
-//    one directory entry per block.
+//    holds) and a directory of exact per-block ranks (count_before),
+//    Int128 suffix sums (sum_after) and gap summaries (the count of
+//    non-empty gaps and the first and last key followed by one). A
+//    commit touches one block plus one directory entry per block.
 //  - a maximal gap is the space after a stored key, up to the next key
 //    or the domain's end, plus one leading gap below the smallest key.
 //    A gap's record (keys below it, their shifted sum) is the record of
@@ -38,8 +39,8 @@
 // simulation's insertion with one boundary key taken out) and the
 // removal that does (FindOptimalRemoval) — run one branch-and-bound
 // skeleton over a *candidate source* read off the key store's blocks:
-// the gaps after the keys of a block for insertion, the keys of a block
-// for removal. A source supplies admissible
+// the gaps after the keys of consecutive block slices for insertion,
+// the keys of a block for removal. A source supplies admissible
 // double-precision bounds at three levels — per group, per sub-block of
 // 64 units, per unit — and the exact evaluation; the skeleton seeds a
 // running best, skips every group, sub-block or unit whose bound is
@@ -58,22 +59,23 @@
 // the magnitudes of those changes, not of VarY (see BoundCtx).
 //
 // The pruned scan is *tiered*: instead of re-scoring all O(n) gaps
-// every round, it first scores one admissible range bound per
-// ~sqrt(n)-key block, computed in O(1) from the block's key range and
-// its first key's exact (count, suffix-sum) record — state the key
-// store maintains incrementally across commits. A block (or 64-key
-// sub-block) with no gap is skipped in O(1) with no bound at all: its
-// keys and the key after it are consecutive exactly when their key
-// span equals their index span. The range bound exploits two
+// every round, it first scores one admissible range bound per group of
+// block slices holding up to ~sqrt(G) of the G gaps (a slice whose
+// keys are mostly gapless is a group alone), computed in O(1) from the
+// first gap's exact (count, suffix-sum) record and the last gap's end —
+// state the key store maintains incrementally across commits. A 64-key
+// window with no gap is skipped in O(1) with no bound at all: its keys
+// and the key after it are consecutive exactly when their key span
+// equals their index span. The range bound exploits two
 // structural facts: along the candidate axis the covariance numerator
 // is piecewise linear with non-decreasing slopes (n1*c1 - sumY grows as
 // candidates pass keys) and upward jumps at key crossings, so it lies
 // above its left-endpoint tangent; and VarX is a gap-independent convex
 // parabola, so Cov^2/VarX under the tangent takes its range minimum at
-// an endpoint. Inside a block with more than 64 gaps whose bound
-// reaches the running best the same range bound is taken per 64-key
-// sub-block, and only surviving sub-blocks are re-scored per gap, so
-// per-round bound work is O(sqrt(n) + survivors).
+// an endpoint. Inside a group of more than 64 keys whose bound reaches
+// the running best the same range bound is taken per 64-key window of
+// a slice, from its first gap to its last, and only surviving windows
+// are re-scored per gap, so per-round work is O(sqrt(n) + survivors).
 // (Design notes from measurement: bounds persisted across rounds with
 // forward-drift margins are useless here — any per-round drift
 // allowance inflates the bound by more than the whole gap-to-gap loss
@@ -205,7 +207,7 @@ class LossLandscape {
   /// \brief Knobs for the pruned argmax (see FindOptimal).
   struct ArgmaxOptions {
     /// Run the branch-and-bound tiered scan: one admissible bound per
-    /// group (a key-store block, O(1) from the incrementally maintained
+    /// group (key-store blocks, O(1) from the incrementally maintained
     /// state), one per 64-unit sub-block only inside groups whose bound
     /// reaches the running best, per-unit bounds only inside surviving
     /// sub-blocks, and exact re-checks only of the surviving units —
@@ -222,8 +224,9 @@ class LossLandscape {
     /// group whose bound reaches the seed's loss, or every unit when the
     /// scan is exhaustive. A round with fewer runs the serial scan even
     /// with a pool, because splitting it costs more than it saves. 0
-    /// fans out every pooled round. Measured on a 4-vCPU host with
-    /// groups of ~sqrt(n) gaps, the default lies above the live work of
+    /// fans out every pooled round. The default was measured on a 4-vCPU
+    /// host with the earlier gap-tier groups (~sqrt(G) gaps each, not
+    /// re-measured on key-store groups): it lay above the live work of
     /// tiered rounds at n <= 200k (under ~5k units), which ran no faster
     /// on the pool, and below that of tiered rounds at n = 1M (~29k)
     /// and n = 10M (~357k) and of exhaustive rounds from 20k units,
@@ -298,18 +301,20 @@ class LossLandscape {
   ///
   /// The scan is the argmax skeleton over the gap source: a unit is the
   /// gap after one stored key (up to the next key, or the domain's
-  /// end), offered at its non-excluded endpoints; a group is the
-  /// in-range part of one key-store block. The gap below the smallest
+  /// end), offered at its non-excluded endpoints; a group is a run of
+  /// consecutive in-range key-store block slices that hold gaps, with
+  /// up to ~sqrt(G) of the G gaps (one block where every key is
+  /// followed by a gap, many on dense runs). The gap below the smallest
   /// key, when the range reaches it, is evaluated exactly beside the
   /// skeleton. With \p argmax.prune (the default) it runs *tiered*: one
-  /// range bound per block (a covariance left-tangent from its first
-  /// unit's record), a seed at the best gap bound of the block with the
+  /// range bound per group (a covariance left-tangent from its first
+  /// unit's record), a seed at the best gap bound of the group with the
   /// highest range bound, then a key-ordered sweep that skips whole
-  /// blocks whose range bound is below the best, bounds the surviving
-  /// blocks of more than 64 gaps per 64-key sub-block (the same range
-  /// bound from the sub-block's first unit), re-scores only surviving
-  /// sub-blocks per gap, and exits once every remaining block bound is
-  /// below the best. A block or sub-block with no gap is skipped in
+  /// groups whose range bound is below the best, bounds the surviving
+  /// groups of more than 64 keys per 64-key sub-block of a slice (the
+  /// same range bound from the sub-block's first unit), re-scores only
+  /// surviving sub-blocks per gap, and exits once every remaining group
+  /// bound is below the best. A sub-block with no gap is skipped in
   /// O(1). Range bounds ignore \p excluded (an excluded endpoint only
   /// makes them admissible over-estimates; the per-gap bounds skip
   /// excluded endpoints exactly). Outside PruneDomainOk() the call runs
@@ -641,13 +646,38 @@ class LossLandscape {
                              ThreadPool* pool, const ArgmaxOptions& argmax,
                              ArgmaxStats* stats) const;
 
-  /// One gap-source group: the gaps after keys [begin, end) of store
-  /// block `block`, `gaps` of them non-empty.
-  struct GapGroup {
+  /// The gaps after keys [begin, end) of store block `block`, `gaps` of
+  /// them non-empty; its units start at `first_unit` of its group. The
+  /// range bound inputs, in the snapshot: x_lo, c and s of the first
+  /// candidate (the key after the first gap's key) and x_hi of the last
+  /// (the last gap's end).
+  struct GapSlice {
     std::size_t block = 0;
     std::size_t begin = 0;
     std::size_t end = 0;
     std::int64_t gaps = 0;
+    std::int64_t first_unit = 0;
+    double x_lo = 0;
+    double x_hi = 0;
+    double c = 0;
+    double s = 0;
+  };
+
+  /// One gap-source group: slices [first, end) of argmax_gap_slices_,
+  /// consecutive in key order, each starting at a multiple of the
+  /// sub-block size in the group's units, so no sub-block spans two.
+  struct GapGroup {
+    std::size_t first = 0;
+    std::size_t end = 0;
+    std::int64_t units = 0;
+    std::int64_t gaps = 0;
+  };
+
+  /// What CollectGapGroups found: the units of all groups and of the
+  /// largest one.
+  struct GapUnits {
+    std::int64_t total = 0;
+    std::int64_t max = 0;
   };
 
   /// One parallel chunk: groups [first, end).
@@ -701,20 +731,23 @@ class LossLandscape {
                        ArgmaxStats* stats) const;
 
   /// Bounds the 64-unit sub-blocks of group \p g into \p out (counted
-  /// as bound work) and returns the first best one; 0, with nothing
-  /// written, when the group skips the level.
+  /// as bound work; \p soa is the source's staging) and returns the
+  /// first best one; 0, with nothing written, when the group skips the
+  /// level.
   template <typename Src>
   std::int64_t SubBlockBounds(const Src& src, std::size_t g, double* out,
-                              ArgmaxStats* stats) const;
+                              double* soa, ArgmaxStats* stats) const;
 
-  /// Fills argmax_gap_groups_ with the in-range slice of every block
-  /// meeting [lo, hi] (a range as in GapSnapshot) that holds a gap, and
-  /// returns the number of units in them. The gap below the smallest
+  /// Fills argmax_gap_slices_ with the in-range slice of every block
+  /// meeting [snap.lo, snap.hi] that holds a gap, and
+  /// argmax_gap_groups_ with runs of consecutive slices holding up to
+  /// ~sqrt(G) of the G gaps (a slice with more is a group alone, and so
+  /// is one whose keys are mostly gapless). The gap below the smallest
   /// key is in none.
-  std::int64_t CollectGapGroups(Key lo, Key hi) const;
+  GapUnits CollectGapGroups(const GapSnapshot& snap) const;
 
   /// The bound contexts of the two scans, expanded around one of their
-  /// own candidates: the first unit of the middle collected group (not
+  /// own candidates: the first unit of the middle collected slice (not
   /// usable when there is none), and the first key of the middle
   /// store block. \p mom describes the points after the edit.
   BoundCtx GapBoundCtx(const GapSnapshot& snap, const RankMoments& mom) const;
@@ -742,6 +775,7 @@ class LossLandscape {
 
   // Engine-owned argmax scratch, reused across rounds (see FindOptimal's
   // scratch note). Mutable: FindOptimal is logically const.
+  mutable std::vector<GapSlice> argmax_gap_slices_;
   mutable std::vector<GapGroup> argmax_gap_groups_;
   mutable std::vector<ArgmaxChunk> argmax_chunks_;
   // Unit bounds: the seed group's staged ones in slot 0, then one

@@ -40,10 +40,10 @@ struct AttackOptions {
   int num_threads = 1;
 
   /// Branch-and-bound pruning of the per-round argmax, run as the
-  /// tiered scan: one admissible bound per ~sqrt(n)-key block of the
-  /// landscape's key store (from the exact records the store maintains
-  /// across commits), gaps re-scored individually only inside blocks
-  /// whose bound reaches the running best, and only the gaps whose own
+  /// tiered scan: one admissible bound per group of ~sqrt(n)-key blocks
+  /// of the landscape's key store (from the exact records the store
+  /// maintains across commits), gaps re-scored individually only inside
+  /// groups whose bound reaches the running best, and only the gaps whose own
   /// bound reaches it evaluated exactly. Bit-identical to the exhaustive scan
   /// for every setting (the bounds are admissible, with an exhaustive
   /// fallback when they are not provably so); off buys nothing but the

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/code_align.h"
-
 namespace lispoison {
 
 Result<LearnedIndex> LearnedIndex::Build(const KeySet& keyset,
@@ -81,7 +79,7 @@ LookupResult LearnedIndex::Lookup(Key k) const {
   return res;
 }
 
-LISPOISON_ALIGN_HOT LookupResult LearnedIndex::LookupBounded(Key k) const {
+LookupResult LearnedIndex::LookupBounded(Key k) const {
   LookupResult res;
   const std::int64_t n = size();
   if (n == 0) return res;

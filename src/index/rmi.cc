@@ -4,8 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "common/code_align.h"
-
 namespace lispoison {
 
 Result<Rmi> Rmi::Train(const KeySet& keyset, const RmiOptions& options) {
@@ -114,7 +112,7 @@ double Rmi::PredictRank(Key k) const {
   return models_[static_cast<std::size_t>(i)].Predict(k);
 }
 
-LISPOISON_ALIGN_HOT std::int64_t Rmi::PredictPosition(Key k) const {
+std::int64_t Rmi::PredictPosition(Key k) const {
   const double r = PredictRank(k);
   std::int64_t pos = static_cast<std::int64_t>(std::llround(r)) - 1;
   if (pos < 0) pos = 0;

@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/code_align.h"
 #include "common/epoch.h"
 #include "common/fault.h"
 #include "index/binary_search_index.h"
@@ -445,7 +444,7 @@ int SearchBackend::RouteShard(Key k) const {
       shard_splits_.begin());
 }
 
-LISPOISON_ALIGN_HOT BackendOpResult SearchBackend::Lookup(Key k) const {
+BackendOpResult SearchBackend::Lookup(Key k) const {
   // Wait-free read path: epoch guard (one atomic store), snapshot
   // load, probe. The ReadPathScope arms the WriterMutex tripwire that
   // enforces "no mutex on this path" at runtime.
@@ -460,8 +459,8 @@ LISPOISON_ALIGN_HOT BackendOpResult SearchBackend::Lookup(Key k) const {
   return LookupInSnapshot(*snap, k);
 }
 
-LISPOISON_ALIGN_HOT void SearchBackend::LookupBatch(
-    const Key* keys, int count, BackendOpResult* out) const {
+void SearchBackend::LookupBatch(const Key* keys, int count,
+                                BackendOpResult* out) const {
   ReadPathScope read_scope;
   EpochDomain::Guard guard(EpochDomain::Global());
   if (count > 0) tl_lookups_->Add(count);

